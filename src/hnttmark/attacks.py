@@ -76,6 +76,9 @@ def quantize(image, step: int) -> np.ndarray:
     step = int(step)
     if step < 1:
         raise ValueError("step must be >= 1, got %d" % step)
+    # Every pixel already rounds to 0 from step 511 up; the cap keeps the
+    # int32 arithmetic below in range for any step.
+    step = min(step, 511)
     img = as_gray(image).astype(np.int32)
     q = (img * 2 + step) // (2 * step) * step
     return np.clip(q, 0, 255).astype(np.uint8)
@@ -104,8 +107,10 @@ def region_replace(image, rect, source) -> np.ndarray:
 
 def intensity_shift(image, delta: int) -> np.ndarray:
     """Add delta to every pixel, clamped to [0, 255]."""
+    # Beyond +-255 every pixel clamps the same way; capping keeps int32 in range.
+    delta = min(max(int(delta), -255), 255)
     img = as_gray(image).astype(np.int32)
-    return np.clip(img + int(delta), 0, 255).astype(np.uint8)
+    return np.clip(img + delta, 0, 255).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .watermark import _blockify, _check_ternary, _embed_blocks, checkerboard_cell
+from .imageio import as_ternary
+from .watermark import _blockify, _embed_blocks, checkerboard_cell
 
 
 def _as_block_stack(blocks) -> np.ndarray:
@@ -35,23 +36,20 @@ def _as_block_stack(blocks) -> np.ndarray:
 
 def _as_cells(pattern, count: int) -> np.ndarray:
     arr = np.asarray(pattern)
-    if arr.shape == (4, 4):
-        return _check_ternary(arr)
-    if arr.ndim == 3 and arr.shape == (count, 4, 4):
-        if not np.issubdtype(arr.dtype, np.integer) or (arr.size and (arr.min() < 0 or arr.max() > 2)):
-            raise ValueError("watermark cells must be integers in {0, 1, 2}")
-        return arr.astype(np.uint8, copy=False)
-    raise ValueError(
-        "watermark must be a single 4x4 cell or one cell per block (%d, 4, 4), got shape %s"
-        % (count, arr.shape)
-    )
+    if arr.shape != (4, 4) and arr.shape != (count, 4, 4):
+        raise ValueError(
+            "watermark must be a single 4x4 cell or one cell per block (%d, 4, 4), got shape %s"
+            % (count, arr.shape)
+        )
+    return as_ternary(arr)
 
 
 def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     """Embed a watermark into every 4x4 block, fanning out over workers.
 
     The output is identical to sequential per-block embedding regardless
-    of worker count; each worker owns a disjoint contiguous slice.
+    of worker count; each worker owns a disjoint contiguous slice and runs
+    the same embed kernel as watermark.embed_image.
     Accepts a list of 4x4 blocks or an (n, 4, 4) array; the pattern is a
     single cell applied to all blocks, or one cell per block.
     """

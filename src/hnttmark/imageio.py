@@ -19,6 +19,7 @@ import numpy as np
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _COMMENT_RE = re.compile(rb"#[^\n]*")
+_RANGE_ERROR = "PGM pixel value out of range [0, %d]"
 
 
 def as_gray(image) -> np.ndarray:
@@ -30,6 +31,23 @@ def as_gray(image) -> np.ndarray:
         raise ValueError("image pixels must be integers, got dtype %s" % arr.dtype)
     if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("image pixels must be in [0, 255]")
+    return arr.astype(np.uint8, copy=False)
+
+
+def as_ternary(pattern) -> np.ndarray:
+    """Validate an integer array of GF(3) values {0, 1, 2} and return it as uint8.
+
+    Any shape is accepted, empty included (a 2-D grid, a 4x4 cell, an
+    (n, 4, 4) cell stack); callers check the shape they need.
+    """
+    arr = np.asarray(pattern)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("watermark values must be integers, got dtype %s" % arr.dtype)
+    if arr.size:
+        low = arr.min() if arr.dtype.kind == "i" else 0  # unsigned values are never negative
+        high = arr.max()
+        if low < 0 or high > 2:
+            raise ValueError("watermark values must be in {0, 1, 2}, found %d" % (low if low < 0 else high))
     return arr.astype(np.uint8, copy=False)
 
 
@@ -61,7 +79,10 @@ def _header_int(data: bytes, pos: int, name: str) -> tuple[int, int]:
 
 
 def read_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary (P5) or plain (P2) PGM with maxval <= 255."""
+    """Parse a binary (P5) or plain (P2) PGM with maxval <= 255.
+
+    Samples are taken as they are, unscaled; each must be <= maxval.
+    """
     magic, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
         raise ValueError("not a PGM image (expected P2 or P5 magic, got %r)" % magic)
@@ -86,7 +107,10 @@ def read_pgm(data: bytes) -> np.ndarray:
             raise ValueError("truncated PGM pixel data: expected %d bytes, got %d" % (count, len(raster)))
         if data[pos + count :].strip(_WHITESPACE):
             raise ValueError("trailing data after PGM raster")
-        return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+        pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+        if maxval < 255 and pixels.max() > maxval:
+            raise ValueError(_RANGE_ERROR % maxval)
+        return pixels
 
     tokens = _COMMENT_RE.sub(b"", data[pos:]).split()
     if len(tokens) != count:
@@ -96,7 +120,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     except ValueError:
         raise ValueError("malformed plain PGM pixel value") from None
     if any(v < 0 or v > maxval for v in values):
-        raise ValueError("plain PGM pixel value out of range [0, %d]" % maxval)
+        raise ValueError(_RANGE_ERROR % maxval)
     return np.array(values, dtype=np.uint8).reshape(height, width)
 
 
@@ -114,9 +138,7 @@ def read_watermark(data: bytes) -> np.ndarray:
     time) or a full per-block grid; both mean dimensions must be
     multiples of 4, and every value must be in {0, 1, 2}.
     """
-    arr = read_pgm(data)
-    if arr.max() > 2:
-        raise ValueError("watermark values must be in {0, 1, 2}, found %d" % arr.max())
+    arr = as_ternary(read_pgm(data))
     h, w = arr.shape
     if h % 4 or w % 4:
         raise ValueError("watermark dimensions %dx%d are not multiples of 4" % (w, h))
@@ -125,15 +147,13 @@ def read_watermark(data: bytes) -> np.ndarray:
 
 def write_watermark(pattern) -> bytes:
     """Serialize a ternary pattern as binary PGM with maxval 2."""
-    arr = np.asarray(pattern)
-    if arr.ndim != 2 or arr.size == 0 or not np.issubdtype(arr.dtype, np.integer):
+    arr = as_ternary(pattern)
+    if arr.ndim != 2 or arr.size == 0:
         raise ValueError("watermark pattern must be a non-empty 2-D integer array")
-    if arr.min() < 0 or arr.max() > 2:
-        raise ValueError("watermark values must be in {0, 1, 2}")
     h, w = arr.shape
     if h % 4 or w % 4:
         raise ValueError("watermark dimensions %dx%d are not multiples of 4" % (w, h))
-    return b"P5\n%d %d\n2\n" % (w, h) + arr.astype(np.uint8).tobytes()
+    return b"P5\n%d %d\n2\n" % (w, h) + arr.tobytes()
 
 
 def load_pgm(path) -> np.ndarray:

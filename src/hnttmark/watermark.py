@@ -1,15 +1,26 @@
 """Residue-channel fragile watermarking: embed, extract, verify.
 
 Each pixel x is split as x = d + r with r = x mod 3 and d a multiple of
-3; the watermark lives entirely in the residue channel:
+3; the watermark lives entirely in the residue channel.  The scheme is
+defined by the paper's pipeline, which the block-level functions follow:
 
     embed    r -> R = T(r);  R' = (R + w) mod 3;  r' = T(R');  x' = d + r'
     extract  w = (T(residue(suspect)) - T(residue(original))) mod 3
 
-where T is the separable 4x4 transform (an involution, so T doubles as
-its own inverse).  Arithmetic is exact, hence embed-then-extract returns
-w exactly and any residue change anywhere in a block damages that
-block's extracted cell.
+where T is the separable 4x4 transform.  T is linear over GF(3) and an
+involution (H*H == I and 4^-1 == 1 mod 3), so T(T(r) + w) = r + T(w) and
+T(a) - T(b) = T(a - b).  The image-level functions compute the same
+result with those identities:
+
+    embed    x' = d + ((r + T(w)) mod 3)
+    extract  w = T(r_s - r_o) mod 3
+
+Embedding needs no transform of the image at all: T(w) is computed once
+per pattern, and each pixel becomes one lookup in a 768-entry table
+indexed by (x, T(w)).  Extraction transforms one difference instead of
+two images.  Arithmetic is exact, hence embed-then-extract returns w
+exactly and any residue change anywhere in a block damages that block's
+extracted cell.
 
 The divisible part is capped at 252 (pixels 253-255 share d = 252) so
 that x' = d + r' <= 254 always fits 8 bits; the cap costs at most 3 grey
@@ -30,14 +41,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hntt
-from .imageio import as_gray
+from .imageio import as_gray, as_ternary
 
 # Pixel decomposition tables, indexed by pixel value.
 RESIDUE_TABLE = tuple(v % 3 for v in range(256))
 DIVISIBLE_TABLE = tuple(min(v - v % 3, 252) for v in range(256))
 
-_RESIDUE = np.array(RESIDUE_TABLE, dtype=np.int16)
-_DIVISIBLE = np.array(DIVISIBLE_TABLE, dtype=np.uint8)
+# Marked pixel value by (pixel x, transformed watermark entry t):
+# _EMBED[x, t] = d(x) + (r(x) + t) mod 3, entry 3*x + t of 768 bytes.
+_EMBED = np.array(
+    [[d + (r + t) % 3 for t in range(3)] for r, d in zip(RESIDUE_TABLE, DIVISIBLE_TABLE)],
+    dtype=np.uint8,
+)
 _H = np.array(hntt.H4, dtype=np.int16)
 
 ResidueDecomposition = namedtuple("ResidueDecomposition", ["residue", "divisible"])
@@ -109,13 +124,16 @@ def _check_image(image, name: str = "image") -> np.ndarray:
     return arr
 
 
-def _check_ternary(pattern) -> np.ndarray:
+def _check_pattern(pattern, blocks_y: int, blocks_x: int) -> np.ndarray:
+    """Validate a pattern as a 4x4 cell or a full (blocks_y*4, blocks_x*4)
+    grid and return it as uint8, untiled."""
     arr = np.asarray(pattern)
-    if arr.ndim != 2 or arr.size == 0 or not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("watermark pattern must be a non-empty 2-D integer array")
-    if arr.min() < 0 or arr.max() > 2:
-        raise ValueError("watermark values must be in {0, 1, 2}")
-    return arr.astype(np.uint8, copy=False)
+    if arr.shape != (4, 4) and arr.shape != (blocks_y * 4, blocks_x * 4):
+        raise ValueError(
+            "watermark pattern shape %s matches neither a 4x4 cell nor the %dx%d block grid"
+            % (arr.shape, blocks_x, blocks_y)
+        )
+    return as_ternary(arr)
 
 
 def expand_pattern(pattern, blocks_y: int, blocks_x: int) -> np.ndarray:
@@ -124,33 +142,31 @@ def expand_pattern(pattern, blocks_y: int, blocks_x: int) -> np.ndarray:
     A 4x4 pattern is a single cell tiled over every block; anything else
     must already have shape (blocks_y*4, blocks_x*4).
     """
-    arr = _check_ternary(pattern)
+    arr = _check_pattern(pattern, blocks_y, blocks_x)
     if arr.shape == (4, 4):
         return np.tile(arr, (blocks_y, blocks_x))
-    if arr.shape == (blocks_y * 4, blocks_x * 4):
-        return arr
-    raise ValueError(
-        "watermark pattern shape %s matches neither a 4x4 cell nor the %dx%d block grid"
-        % (arr.shape, blocks_x, blocks_y)
-    )
+    return arr
 
 
 def _special_batch(blocks: np.ndarray) -> np.ndarray:
     """H * A * H over a stack of 4x4 blocks, mod 3 (any leading shape).
 
-    A single final reduction is exact for any entries in [0, 255]: the
-    triple product is bounded by 255*2*4 * 2*4 = 16320, inside int16.
+    Returns uint8 values in {0, 1, 2}.  A single final reduction is exact
+    for any entries in [-255, 255]: the triple product is bounded by
+    255*2*4 * 2*4 = 16320 in magnitude, inside int16.
     """
-    return np.matmul(np.matmul(_H, blocks.astype(np.int16, copy=False)), _H) % 3
+    return (np.matmul(np.matmul(_H, blocks.astype(np.int16, copy=False)), _H) % 3).astype(np.uint8)
 
 
 def _embed_blocks(blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Vectorized embedding over (..., 4, 4) uint8 blocks; cells broadcast."""
-    divisible = _DIVISIBLE[blocks]
-    transformed = _special_batch(_RESIDUE[blocks])
-    # (transformed + cells) mod 3 folds into the next batch's reduction
-    back = _special_batch(transformed + cells)
-    return (divisible + back).astype(np.uint8)
+    """Embed cells into (..., 4, 4) uint8 pixel blocks: x' = _EMBED[x, T(w)].
+
+    cells is one 4x4 cell or a stack broadcasting against blocks; T runs
+    once per cell, never on the pixels.  With one cell the gather keeps
+    the memory order of blocks, so a blockified image view comes back in
+    image order and unblockifying it copies nothing.
+    """
+    return _EMBED[blocks, _special_batch(cells)]
 
 
 def embed_image(image, pattern) -> np.ndarray:
@@ -161,8 +177,10 @@ def embed_image(image, pattern) -> np.ndarray:
     """
     img = _check_image(image)
     by, bx = img.shape[0] // 4, img.shape[1] // 4
-    grid = expand_pattern(pattern, by, bx)
-    return _unblockify(_embed_blocks(_blockify(img), _blockify(grid)))
+    cells = _check_pattern(pattern, by, bx)
+    if cells.shape != (4, 4):
+        cells = _blockify(cells)
+    return _unblockify(_embed_blocks(_blockify(img), cells))
 
 
 def extract_image(original, suspect) -> np.ndarray:
@@ -174,9 +192,9 @@ def extract_image(original, suspect) -> np.ndarray:
             "dimension mismatch: original is %dx%d, suspect is %dx%d"
             % (orig.shape[1], orig.shape[0], susp.shape[1], susp.shape[0])
         )
-    t_orig = _special_batch(_RESIDUE[_blockify(orig)])
-    t_susp = _special_batch(_RESIDUE[_blockify(susp)])
-    return _unblockify((t_susp - t_orig) % 3).astype(np.uint8)
+    # r_s - r_o == s - o (mod 3), so the pixel difference is transformed as is
+    diff = _blockify(susp).astype(np.int16) - _blockify(orig)
+    return _unblockify(_special_batch(diff))
 
 
 @dataclass

@@ -133,6 +133,21 @@ def test_attack_quantize_and_shift(tmp_path):
     assert np.array_equal(shifted, np.clip(img.astype(int) - 3, 0, 255).astype(np.uint8))
 
 
+def test_attack_huge_step_and_delta_clamp(tmp_path, capsys):
+    source = tmp_path / "in.pgm"
+    _make_image(source, seed=6)
+    out = tmp_path / "out.pgm"
+    base = ["attack", "--input", str(source), "--output", str(out)]
+    huge = "99999999999"
+    assert main(base + ["--type", "quantize", "--step", huge]) == EXIT_OK
+    assert not imageio.load_pgm(out).any()
+    assert main(base + ["--type", "intensity_shift", "--delta", huge]) == EXIT_OK
+    assert (imageio.load_pgm(out) == 255).all()
+    assert main(base + ["--type", "intensity_shift", "--delta", "-" + huge]) == EXIT_OK
+    assert not imageio.load_pgm(out).any()
+    assert capsys.readouterr().err == ""
+
+
 def test_attack_region_replace(tmp_path):
     source = tmp_path / "in.pgm"
     patch = tmp_path / "patch.pgm"

@@ -82,6 +82,17 @@ def test_image_validation():
         write_pgm(np.zeros((0, 4), dtype=np.uint8))  # empty
 
 
+def test_samples_above_maxval_rejected_in_both_encodings():
+    binary = b"P5 4 4 2\n" + bytes([200] * 16)
+    plain = b"P2 4 4 2\n" + b" 200" * 16
+    for data in (binary, plain):
+        with pytest.raises(ValueError, match=r"PGM pixel value out of range \[0, 2\]"):
+            read_pgm(data)
+    # samples at or below maxval are taken unscaled
+    assert read_pgm(b"P5 2 1 2\n\x01\x02").tolist() == [[1, 2]]
+    assert read_pgm(b"P2 2 1 2\n1 2").tolist() == [[1, 2]]
+
+
 def test_watermark_round_trip():
     cell = checkerboard_cell()
     assert np.array_equal(read_watermark(write_watermark(cell)), cell)

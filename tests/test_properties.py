@@ -1,0 +1,105 @@
+"""Property tests: the vectorized image and engine routes against the block oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from hnttmark.engine import process_blocks
+from hnttmark.imageio import read_pgm
+from hnttmark.watermark import embed_block, embed_image, extract_block, extract_image
+
+
+@st.composite
+def images(draw):
+    """A small image, multiple-of-4 sized, with some pixels forced to 253-255."""
+    by = draw(st.integers(1, 4))
+    bx = draw(st.integers(1, 4))
+    img = draw(arrays(np.uint8, (by * 4, bx * 4)))
+    high = draw(arrays(np.bool_, img.shape))
+    top = draw(arrays(np.uint8, img.shape, elements=st.integers(253, 255)))
+    return np.where(high, top, img)
+
+
+def ternary(shape):
+    return arrays(np.uint8, shape, elements=st.integers(0, 2))
+
+
+def _tiles(arr):
+    h, w = arr.shape
+    for y in range(0, h, 4):
+        for x in range(0, w, 4):
+            yield (y, x), arr[y : y + 4, x : x + 4]
+
+
+@st.composite
+def image_and_pattern(draw):
+    img = draw(images())
+    shape = draw(st.sampled_from([(4, 4), img.shape]))
+    return img, draw(ternary(shape))
+
+
+@given(image_and_pattern())
+def test_embed_image_matches_embed_block(case):
+    img, pattern = case
+    marked = embed_image(img, pattern)
+    for (y, x), block in _tiles(img):
+        cell = pattern if pattern.shape == (4, 4) else pattern[y : y + 4, x : x + 4]
+        assert marked[y : y + 4, x : x + 4].tolist() == embed_block(block.tolist(), cell.tolist())
+
+
+@given(image_and_pattern(), st.data())
+def test_extract_image_matches_extract_block(case, data):
+    img, pattern = case
+    marked = embed_image(img, pattern)
+    # a suspect: the marked image with arbitrary pixels overwritten
+    touched = data.draw(arrays(np.bool_, img.shape))
+    noise = data.draw(arrays(np.uint8, img.shape))
+    suspect = np.where(touched, noise, marked)
+    for original in (img, marked):
+        extracted = extract_image(original, suspect)
+        for (y, x), block in _tiles(suspect):
+            want = extract_block(original[y : y + 4, x : x + 4].tolist(), block.tolist())
+            assert extracted[y : y + 4, x : x + 4].tolist() == want
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@given(st.data())
+def test_process_blocks_matches_embed_block(workers, data):
+    n = data.draw(st.integers(0, 40))
+    blocks = data.draw(arrays(np.uint8, (n, 4, 4)))
+    cells = data.draw(st.one_of(ternary((4, 4)), ternary((n, 4, 4))))
+    out = process_blocks(blocks, cells, workers)
+    assert out.shape == blocks.shape and out.dtype == np.uint8
+    for i, block in enumerate(blocks):
+        cell = cells if cells.ndim == 2 else cells[i]
+        assert out[i].tolist() == embed_block(block.tolist(), cell.tolist())
+
+
+@st.composite
+def pgm_like(draw):
+    """Near-valid PGMs, sometimes cut short or with a stray trailing byte, so
+    every branch of the header and body parsers runs."""
+    magic = draw(st.sampled_from([b"P5", b"P2", b"P6"]))
+    width, height = draw(st.sampled_from([2, 1, 4, 0, -1])), draw(st.sampled_from([3, 1, 4, 0]))
+    maxval = draw(st.sampled_from([255, 2, 1, 256, 0]))
+    sep = draw(st.sampled_from([b"\n", b" ", b" #c\n"]))
+    header = sep.join([magic] + [b"%d" % v for v in (width, height, maxval)]) + b"\n"
+    count = max(width * height, 0)
+    if magic == b"P2":
+        body = b" ".join(b"%d" % v for v in draw(st.lists(st.integers(-1, 300), min_size=count, max_size=count)))
+    else:
+        body = draw(st.binary(min_size=count, max_size=count))
+    data = header + body + draw(st.sampled_from([b"", b"\n", b" 7"]))
+    return data[: draw(st.one_of(st.none(), st.integers(0, len(data))))]
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.binary(max_size=64), pgm_like()))
+def test_read_pgm_parses_or_raises_value_error(data):
+    try:
+        img = read_pgm(data)
+    except ValueError:
+        return
+    assert isinstance(img, np.ndarray) and img.ndim == 2 and img.dtype == np.uint8
