@@ -21,16 +21,7 @@ from .hntt import (
     inverse_special_hntt_2d,
     special_hntt_2d,
 )
-from .imageio import (
-    BlockGrid,
-    pad_to_multiple,
-    read_pgm,
-    read_watermark,
-    tile,
-    untile,
-    write_pgm,
-    write_watermark,
-)
+from .imageio import pad_to_multiple, read_pgm, read_watermark, write_pgm, write_watermark
 from .watermark import (
     ResidueDecomposition,
     TamperReport,
@@ -38,7 +29,6 @@ from .watermark import (
     decompose,
     embed_block,
     embed_image,
-    expand_pattern,
     extract_block,
     extract_image,
     verify,

@@ -11,13 +11,14 @@ not expected to reach such rates, and none are asserted here, only
 reported.
 """
 
+import dataclasses
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .imageio import as_ternary
+from .imageio import as_pixels, as_ternary
 from .watermark import _blockify, _embed_blocks, checkerboard_cell
 
 
@@ -27,11 +28,7 @@ def _as_block_stack(blocks) -> np.ndarray:
     arr = np.asarray(blocks)
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise ValueError("expected a stack of 4x4 blocks, got shape %s" % (arr.shape,))
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("block pixels must be integers, got dtype %s" % arr.dtype)
-    if arr.dtype != np.uint8 and arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError("block pixels must be in [0, 255]")
-    return arr.astype(np.uint8, copy=False)
+    return as_pixels(arr)
 
 
 def _as_cells(pattern, count: int) -> np.ndarray:
@@ -48,8 +45,9 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     """Embed a watermark into every 4x4 block, fanning out over workers.
 
     The output is identical to sequential per-block embedding regardless
-    of worker count; each worker owns a disjoint contiguous slice and runs
-    the same embed kernel as watermark.embed_image.
+    of worker count; the blocks are cut into `workers` disjoint contiguous
+    slices, each run with the same embed kernel as watermark.embed_image
+    on a pool of at most os.cpu_count() threads.
     Accepts a list of 4x4 blocks or an (n, 4, 4) array; the pattern is a
     single cell applied to all blocks, or one cell per block.
     """
@@ -70,7 +68,7 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
         piece = cells if cells.ndim == 2 else cells[lo:hi]
         out[lo:hi] = _embed_blocks(stack[lo:hi], piece)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(run, bounds[i], bounds[i + 1])
             for i in range(workers)
@@ -81,7 +79,7 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclasses.dataclass
 class BenchResult:
     """Measured embedding throughput over a synthetic frame stream."""
 
@@ -94,15 +92,7 @@ class BenchResult:
     frame_height: int
 
     def as_dict(self) -> dict:
-        return {
-            "blocks_processed": self.blocks_processed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "blocks_per_second": self.blocks_per_second,
-            "equivalent_frame_rate": self.equivalent_frame_rate,
-            "worker_count": self.worker_count,
-            "frame_width": self.frame_width,
-            "frame_height": self.frame_height,
-        }
+        return dataclasses.asdict(self)
 
     def __str__(self) -> str:
         frame_blocks = (self.frame_width // 4) * (self.frame_height // 4)
@@ -118,12 +108,17 @@ class BenchResult:
         )
 
 
-def frame_rate_equivalent(blocks_per_second: float, frame_width: int, frame_height: int) -> float:
-    """Frame rate a given block throughput sustains at a given resolution."""
+def _frame_blocks(frame_width: int, frame_height: int) -> int:
+    """Blocks per frame, for dimensions that are positive multiples of 4."""
     if frame_width <= 0 or frame_height <= 0 or frame_width % 4 or frame_height % 4:
         raise ValueError("frame dimensions must be positive multiples of 4, got %dx%d"
                          % (frame_width, frame_height))
-    return blocks_per_second / ((frame_width // 4) * (frame_height // 4))
+    return (frame_width // 4) * (frame_height // 4)
+
+
+def frame_rate_equivalent(blocks_per_second: float, frame_width: int, frame_height: int) -> float:
+    """Frame rate a given block throughput sustains at a given resolution."""
+    return blocks_per_second / _frame_blocks(frame_width, frame_height)
 
 
 def _synthetic_frame(width: int, height: int) -> np.ndarray:
@@ -142,10 +137,7 @@ def benchmark(
     """Embed synthetic frames repeatedly and report measured throughput."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1, got %d" % iterations)
-    frame_blocks = (frame_width // 4) * (frame_height // 4)
-    if frame_blocks == 0 or frame_width % 4 or frame_height % 4:
-        raise ValueError("frame dimensions must be positive multiples of 4, got %dx%d"
-                         % (frame_width, frame_height))
+    frame_blocks = _frame_blocks(frame_width, frame_height)
     stack = np.ascontiguousarray(_blockify(_synthetic_frame(frame_width, frame_height)).reshape(-1, 4, 4))
     cell = checkerboard_cell()
 

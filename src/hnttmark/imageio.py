@@ -1,4 +1,4 @@
-"""Grayscale image and watermark-pattern file I/O, block tiling, padding.
+"""Grayscale image and watermark-pattern file I/O, padding, array validators.
 
 The only native image format is PGM, chosen because round trips are
 trivially bit-exact.  Both binary (P5) and plain (P2) files are read;
@@ -13,7 +13,6 @@ shape (height, width).
 """
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +21,26 @@ _COMMENT_RE = re.compile(rb"#[^\n]*")
 _RANGE_ERROR = "PGM pixel value out of range [0, %d]"
 
 
+def as_pixels(pixels) -> np.ndarray:
+    """Validate an integer array of 8-bit pixel values and return it as uint8.
+
+    Any shape is accepted, empty included (an image, an (n, 4, 4) block
+    stack); callers check the shape they need.
+    """
+    arr = np.asarray(pixels)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("image pixels must be integers, got dtype %s" % arr.dtype)
+    if arr.dtype != np.uint8 and arr.size and (arr.min() < 0 or arr.max() > 255):
+        raise ValueError("image pixels must be in [0, 255]")
+    return arr.astype(np.uint8, copy=False)
+
+
 def as_gray(image) -> np.ndarray:
     """Validate an array-like as a grayscale image and return it as uint8."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("image must be a non-empty 2-D array, got shape %s" % (arr.shape,))
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("image pixels must be integers, got dtype %s" % arr.dtype)
-    if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError("image pixels must be in [0, 255]")
-    return arr.astype(np.uint8, copy=False)
+    return as_pixels(arr)
 
 
 def as_ternary(pattern) -> np.ndarray:
@@ -70,10 +79,17 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
+def _decimal(token: bytes) -> int:
+    """Parse ASCII decimal digits; int() alone also takes '+', '-' and '_'."""
+    if not token.isdigit():
+        raise ValueError("not a decimal integer: %r" % token)
+    return int(token)
+
+
 def _header_int(data: bytes, pos: int, name: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     try:
-        return int(token), pos
+        return _decimal(token), pos
     except ValueError:
         raise ValueError("malformed PGM header: bad %s %r" % (name, token)) from None
 
@@ -116,10 +132,10 @@ def read_pgm(data: bytes) -> np.ndarray:
     if len(tokens) != count:
         raise ValueError("expected %d pixel values in plain PGM, found %d" % (count, len(tokens)))
     try:
-        values = [int(t) for t in tokens]
+        values = [_decimal(t) for t in tokens]
     except ValueError:
         raise ValueError("malformed plain PGM pixel value") from None
-    if any(v < 0 or v > maxval for v in values):
+    if any(v > maxval for v in values):
         raise ValueError(_RANGE_ERROR % maxval)
     return np.array(values, dtype=np.uint8).reshape(height, width)
 
@@ -176,24 +192,6 @@ def save_watermark(path, pattern) -> None:
         fh.write(write_watermark(pattern))
 
 
-@dataclass(frozen=True)
-class BlockGrid:
-    """Shape of a 4x4 block tiling, including padding added on the way in."""
-
-    blocks_x: int
-    blocks_y: int
-    pad_right: int = 0
-    pad_bottom: int = 0
-
-    @property
-    def width(self) -> int:
-        return self.blocks_x * 4 - self.pad_right
-
-    @property
-    def height(self) -> int:
-        return self.blocks_y * 4 - self.pad_bottom
-
-
 def pad_to_multiple(image) -> np.ndarray:
     """Grow an image to multiple-of-4 dimensions by replicating edges."""
     img = as_gray(image)
@@ -203,46 +201,3 @@ def pad_to_multiple(image) -> np.ndarray:
     if pad_bottom == 0 and pad_right == 0:
         return img
     return np.pad(img, ((0, pad_bottom), (0, pad_right)), mode="edge")
-
-
-def tile(image, pad: bool = False) -> tuple[list[np.ndarray], BlockGrid]:
-    """Split an image into row-major 4x4 blocks.
-
-    With pad=True, non-multiple-of-4 images are edge-padded first and the
-    padding amounts are recorded in the returned grid so untile can crop
-    them away again.
-    """
-    src = as_gray(image)
-    h, w = src.shape
-    if pad:
-        padded = pad_to_multiple(src)
-    else:
-        if h % 4 or w % 4:
-            raise ValueError("image dimensions %dx%d are not multiples of 4 (pass pad=True)" % (w, h))
-        padded = src
-    ph, pw = padded.shape
-    grid = BlockGrid(blocks_x=pw // 4, blocks_y=ph // 4, pad_right=pw - w, pad_bottom=ph - h)
-    blocks = [
-        padded[y * 4 : y * 4 + 4, x * 4 : x * 4 + 4].copy()
-        for y in range(grid.blocks_y)
-        for x in range(grid.blocks_x)
-    ]
-    return blocks, grid
-
-
-def untile(blocks, grid: BlockGrid) -> np.ndarray:
-    """Reassemble row-major 4x4 blocks and crop any recorded padding."""
-    expected = grid.blocks_x * grid.blocks_y
-    if len(blocks) != expected:
-        raise ValueError("expected %d blocks for a %dx%d grid, got %d"
-                         % (expected, grid.blocks_x, grid.blocks_y, len(blocks)))
-    out = np.empty((grid.blocks_y * 4, grid.blocks_x * 4), dtype=np.uint8)
-    i = 0
-    for y in range(grid.blocks_y):
-        for x in range(grid.blocks_x):
-            block = as_gray(blocks[i])
-            if block.shape != (4, 4):
-                raise ValueError("block %d has shape %s, expected (4, 4)" % (i, block.shape))
-            out[y * 4 : y * 4 + 4, x * 4 : x * 4 + 4] = block
-            i += 1
-    return out[: grid.height, : grid.width].copy()

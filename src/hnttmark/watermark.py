@@ -124,28 +124,20 @@ def _check_image(image, name: str = "image") -> np.ndarray:
     return arr
 
 
-def _check_pattern(pattern, blocks_y: int, blocks_x: int) -> np.ndarray:
+def _pattern_cells(pattern, blocks_y: int, blocks_x: int) -> np.ndarray:
     """Validate a pattern as a 4x4 cell or a full (blocks_y*4, blocks_x*4)
-    grid and return it as uint8, untiled."""
+    grid and return it as uint8: the cell as is, the grid blockified to
+    (blocks_y, blocks_x, 4, 4).  Either broadcasts against a blockified
+    image, so a cell is never tiled."""
     arr = np.asarray(pattern)
-    if arr.shape != (4, 4) and arr.shape != (blocks_y * 4, blocks_x * 4):
-        raise ValueError(
-            "watermark pattern shape %s matches neither a 4x4 cell nor the %dx%d block grid"
-            % (arr.shape, blocks_x, blocks_y)
-        )
-    return as_ternary(arr)
-
-
-def expand_pattern(pattern, blocks_y: int, blocks_x: int) -> np.ndarray:
-    """Resolve a pattern against a block grid, returning the full grid.
-
-    A 4x4 pattern is a single cell tiled over every block; anything else
-    must already have shape (blocks_y*4, blocks_x*4).
-    """
-    arr = _check_pattern(pattern, blocks_y, blocks_x)
     if arr.shape == (4, 4):
-        return np.tile(arr, (blocks_y, blocks_x))
-    return arr
+        return as_ternary(arr)
+    if arr.shape == (blocks_y * 4, blocks_x * 4):
+        return _blockify(as_ternary(arr))
+    raise ValueError(
+        "watermark pattern shape %s matches neither a 4x4 cell nor the %dx%d block grid"
+        % (arr.shape, blocks_x, blocks_y)
+    )
 
 
 def _special_batch(blocks: np.ndarray) -> np.ndarray:
@@ -176,10 +168,7 @@ def embed_image(image, pattern) -> np.ndarray:
     every 4x4 tile in any order.
     """
     img = _check_image(image)
-    by, bx = img.shape[0] // 4, img.shape[1] // 4
-    cells = _check_pattern(pattern, by, bx)
-    if cells.shape != (4, 4):
-        cells = _blockify(cells)
+    cells = _pattern_cells(pattern, img.shape[0] // 4, img.shape[1] // 4)
     return _unblockify(_embed_blocks(_blockify(img), cells))
 
 
@@ -245,8 +234,7 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
         raise ValueError("threshold must be >= 0, got %d" % threshold)
     extracted = extract_image(original, suspect)
     by, bx = extracted.shape[0] // 4, extracted.shape[1] // 4
-    reference_grid = expand_pattern(reference, by, bx)
-    distances = (_blockify(extracted) != _blockify(reference_grid)).sum(axis=(2, 3))
+    distances = (_blockify(extracted) != _pattern_cells(reference, by, bx)).sum(axis=(2, 3))
     return TamperReport(
         grid_width=bx,
         grid_height=by,

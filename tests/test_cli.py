@@ -195,6 +195,18 @@ def test_embed_pad_allows_odd_sizes(tmp_path):
     assert imageio.load_pgm(marked).shape == (16, 12)
 
 
+def test_pgm_integers_must_be_ascii_decimal(tmp_path, capsys):
+    header = tmp_path / "header.pgm"
+    header.write_bytes(b"P2\n4 1\n2_5_5\n1_0 +2 0 1_1\n")
+    samples = tmp_path / "samples.pgm"
+    samples.write_bytes(b"P2\n4 1\n255\n1_0 +2 0 1_1\n")
+    for path in (header, samples):
+        assert main(["embed", "--input", str(path), "--output", str(tmp_path / "o.pgm")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed") and err.count("\n") == 1
+    assert not (tmp_path / "o.pgm").exists()
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["embed", "--input", "x.pgm"]) == EXIT_ERROR  # missing --output
     assert main(["nosuchcommand"]) == EXIT_ERROR

@@ -1,10 +1,12 @@
 """Parallel block engine: determinism, reference equivalence, benchmark math."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from hnttmark import engine
 from hnttmark.engine import (
     BenchResult,
     benchmark,
@@ -55,6 +57,40 @@ def test_worker_count_never_changes_output():
     baseline = process_blocks(blocks, cells, workers=1)
     for workers in (2, 3, 8, 16):
         assert np.array_equal(process_blocks(blocks, cells, workers=workers), baseline)
+
+
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
+    # an inline pool records its size and runs each slice at submit, so no
+    # thread starts
+    pool_sizes, slices = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            slices.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", InlinePool)
+    blocks = _blocks(1000, seed=12)
+    cells = _cells(1000, seed=13)
+    baseline = process_blocks(blocks, cells, workers=1)
+    for cpus, workers, pool_size in ((3, 50, 3), (3, 2, 2), (None, 8, 1)):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        slices.clear()
+        assert np.array_equal(process_blocks(blocks, cells, workers=workers), baseline)
+        assert pool_sizes[-1] == pool_size
+        assert len(slices) == workers
+    assert len(pool_sizes) == 3
 
 
 def test_tiled_cell_broadcasts_over_blocks():

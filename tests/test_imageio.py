@@ -1,18 +1,9 @@
-"""PGM parsing/serialization, watermark files, tiling and padding."""
+"""PGM parsing/serialization, watermark files and padding."""
 
 import numpy as np
 import pytest
 
-from hnttmark.imageio import (
-    BlockGrid,
-    pad_to_multiple,
-    read_pgm,
-    read_watermark,
-    tile,
-    untile,
-    write_pgm,
-    write_watermark,
-)
+from hnttmark.imageio import pad_to_multiple, read_pgm, read_watermark, write_pgm, write_watermark
 from hnttmark.watermark import checkerboard_cell, embed_image, extract_image, verify
 
 
@@ -69,6 +60,17 @@ def test_malformed_inputs():
         read_pgm(b"P5\n1 1\n255")  # header ends before the raster
     with pytest.raises(ValueError):
         read_pgm(b"P5\n-1 1\n255\n\x00")  # negative width
+    # integers are ASCII decimal digits only: no sign, no '_' separators,
+    # no non-ASCII digits
+    for data in (
+        b"P2\n4 1\n2_5_5\n1_0 +2 0 1_1\n",
+        b"P2\n4 1\n255\n1_0 +2 0 1_1\n",
+        b"P5\n+1 1\n255\n\x00",
+        b"P2\n1 1\n255\n-0\n",
+        "P2\n1 1\n255\n\u0663\n".encode(),
+    ):
+        with pytest.raises(ValueError):
+            read_pgm(data)
 
 
 def test_image_validation():
@@ -114,42 +116,6 @@ def test_watermark_validation():
         write_watermark(np.full((4, 4), 3, dtype=np.uint8))
     with pytest.raises(ValueError):
         write_watermark(np.zeros((4, 5), dtype=np.uint8))
-
-
-def test_tile_8x8_no_padding():
-    img = np.arange(64, dtype=np.uint8).reshape(8, 8)
-    blocks, grid = tile(img)
-    assert grid == BlockGrid(blocks_x=2, blocks_y=2, pad_right=0, pad_bottom=0)
-    assert len(blocks) == 4
-    # row-major ordering
-    assert np.array_equal(blocks[0], img[0:4, 0:4])
-    assert np.array_equal(blocks[1], img[0:4, 4:8])
-    assert np.array_equal(blocks[2], img[4:8, 0:4])
-    assert np.array_equal(blocks[3], img[4:8, 4:8])
-    assert np.array_equal(untile(blocks, grid), img)
-
-
-def test_tile_with_padding_round_trip():
-    rng = np.random.RandomState(4)
-    img = rng.randint(0, 256, (5, 5), dtype=np.uint8)
-    blocks, grid = tile(img, pad=True)
-    assert grid.blocks_x == 2 and grid.blocks_y == 2
-    assert grid.pad_right == 3 and grid.pad_bottom == 3
-    assert grid.width == 5 and grid.height == 5
-    assert np.array_equal(untile(blocks, grid), img)
-
-
-def test_tile_rejects_unpadded_odd_size():
-    with pytest.raises(ValueError):
-        tile(np.zeros((5, 5), dtype=np.uint8))
-
-
-def test_untile_validation():
-    blocks, grid = tile(np.zeros((8, 8), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        untile(blocks[:3], grid)
-    with pytest.raises(ValueError):
-        untile([np.zeros((2, 2), dtype=np.uint8)] * 4, grid)
 
 
 def test_pad_to_multiple_edge_replication():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hnttmark import engine, hntt, watermark
 from hnttmark.engine import process_blocks
 from hnttmark.imageio import read_pgm
-from hnttmark.watermark import embed_block, embed_image, extract_block, extract_image
+from hnttmark.watermark import embed_block, embed_image, extract_block, extract_image, verify
 
 
 @st.composite
@@ -62,6 +63,46 @@ def test_extract_image_matches_extract_block(case, data):
         for (y, x), block in _tiles(suspect):
             want = extract_block(original[y : y + 4, x : x + 4].tolist(), block.tolist())
             assert extracted[y : y + 4, x : x + 4].tolist() == want
+
+
+@given(image_and_pattern(), st.data())
+def test_verify_distances_match_extract_block(case, data):
+    img, reference = case
+    marked = embed_image(img, reference)
+    touched = data.draw(arrays(np.bool_, img.shape))
+    noise = data.draw(arrays(np.uint8, img.shape))
+    suspect = np.where(touched, noise, marked)
+    report = verify(img, suspect, reference)
+    assert report.distances.shape == (img.shape[0] // 4, img.shape[1] // 4)
+    for (y, x), block in _tiles(suspect):
+        cell = reference if reference.shape == (4, 4) else reference[y : y + 4, x : x + 4]
+        got = extract_block(img[y : y + 4, x : x + 4].tolist(), block.tolist())
+        want = sum(a != b for got_row, ref_row in zip(got, cell.tolist()) for a, b in zip(got_row, ref_row))
+        assert report.distances[y // 4, x // 4] == want
+    assert np.array_equal(report.tampered, report.distances > 0)
+
+
+def test_production_routes_never_call_the_block_oracles(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("a production route called a pure-Python block oracle")
+
+    for module in (hntt, watermark, engine):
+        for name in ("embed_block", "extract_block", "decompose", "special_hntt_2d",
+                     "inverse_special_hntt_2d", "hntt_1d", "full_hntt_2d_direct"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, oracle)
+    rng = np.random.RandomState(0)
+    img = rng.randint(0, 256, (16, 24), dtype=np.uint8)
+    cell = rng.randint(0, 3, (4, 4), dtype=np.uint8)
+    grid = rng.randint(0, 3, img.shape, dtype=np.uint8)
+    for pattern in (cell, grid):
+        marked = embed_image(img, pattern)
+        extract_image(img, marked)
+        verify(img, marked, pattern)
+    blocks = rng.randint(0, 256, (40, 4, 4), dtype=np.uint8)
+    for cells in (cell, rng.randint(0, 3, (40, 4, 4), dtype=np.uint8)):
+        for workers in (1, 2):
+            process_blocks(blocks, cells, workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])

@@ -14,7 +14,6 @@ from hnttmark.watermark import (
     decompose,
     embed_block,
     embed_image,
-    expand_pattern,
     extract_block,
     extract_image,
     verify,
@@ -202,7 +201,7 @@ def test_image_round_trip_tiled_and_full_grid():
     assert np.array_equal(extract_image(img, embed_image(img, full)), full)
     cell = checkerboard_cell()
     extracted = extract_image(img, embed_image(img, cell))
-    assert np.array_equal(extracted, expand_pattern(cell, 8, 8))
+    assert np.array_equal(extracted, np.tile(cell, (8, 8)))
 
 
 def test_extract_image_of_identical_images_is_zero():
@@ -219,7 +218,7 @@ def test_tamper_locality():
     tampered = marked.copy()
     tampered[9, 14] ^= 1  # inside block (2, 3)
     extracted = extract_image(img, tampered)
-    reference = expand_pattern(cell, 8, 8)
+    reference = np.tile(cell, (8, 8))
     diff_blocks = (
         (extracted != reference).reshape(8, 4, 8, 4).any(axis=(1, 3))
     )
@@ -238,17 +237,30 @@ def test_dimension_validation():
 # ----------------------------------------------------------------- pattern
 
 
-def test_expand_pattern_shapes():
+def test_pattern_shapes():
+    # a pattern is a 4x4 cell or a grid of exactly one cell per block
+    rng = np.random.RandomState(16)
+    img = rng.randint(0, 256, (12, 8), dtype=np.uint8)
     cell = checkerboard_cell()
-    tiled = expand_pattern(cell, 3, 2)
-    assert tiled.shape == (12, 8)
-    assert np.array_equal(tiled[4:8, 4:8], cell)
-    full = np.zeros((12, 8), dtype=np.uint8)
-    assert expand_pattern(full, 3, 2) is full
-    with pytest.raises(ValueError):
-        expand_pattern(full, 2, 2)
-    with pytest.raises(ValueError):
-        expand_pattern(np.full((4, 4), 3, dtype=np.uint8), 1, 1)
+    tiled = np.tile(cell, (3, 2))
+    assert np.array_equal(embed_image(img, cell), embed_image(img, tiled))
+    full = rng.randint(0, 3, (12, 8), dtype=np.uint8)
+    marked = embed_image(img, full)
+    assert np.array_equal(extract_image(img, marked), full)
+    for reference, want in ((cell, tiled), (full, full)):
+        report = verify(img, marked, reference)
+        assert report.distances.shape == (3, 2)
+        assert (report.distances == (full != want).reshape(3, 4, 2, 4).sum(axis=(1, 3))).all()
+    for bad in (np.zeros((8, 8), dtype=np.uint8), np.zeros((12, 4), dtype=np.uint8), np.zeros(16, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="matches neither a 4x4 cell nor the 2x3 block grid"):
+            embed_image(img, bad)
+        with pytest.raises(ValueError, match="matches neither a 4x4 cell nor the 2x3 block grid"):
+            verify(img, marked, bad)
+    for bad_values in (np.full((4, 4), 3, dtype=np.uint8), np.full((12, 8), 3, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="watermark values must be in"):
+            embed_image(img, bad_values)
+        with pytest.raises(ValueError, match="watermark values must be in"):
+            verify(img, marked, bad_values)
 
 
 # ------------------------------------------------------------------ verify
