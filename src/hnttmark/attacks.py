@@ -19,9 +19,6 @@ in for compression-style small pixel perturbations, and externally
 degraded images can always be fed through the verify pipeline instead.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .imageio import as_gray
@@ -112,32 +109,3 @@ def intensity_shift(image, delta: int) -> np.ndarray:
     img = as_gray(image).astype(np.int32)
     return np.clip(img + delta, 0, 255).astype(np.uint8)
 
-
-@dataclass(frozen=True, eq=False)
-class AttackSpec:
-    """One reproducible attack: a kind plus the parameters it needs."""
-
-    kind: str
-    probability: float = 0.01
-    step: int = 2
-    delta: int = 0
-    rect: Optional[tuple] = None
-    source: Optional[np.ndarray] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError("unknown attack kind %r (choose from %s)" % (self.kind, ", ".join(ATTACK_KINDS)))
-
-
-def apply_attack(image, spec: AttackSpec) -> np.ndarray:
-    """Dispatch an AttackSpec onto an image."""
-    if spec.kind == "lsb_flip":
-        return lsb_flip(image, spec.probability, spec.seed)
-    if spec.kind == "quantize":
-        return quantize(image, spec.step)
-    if spec.kind == "region_replace":
-        if spec.rect is None or spec.source is None:
-            raise ValueError("region_replace requires rect and source")
-        return region_replace(image, spec.rect, spec.source)
-    return intensity_shift(image, spec.delta)

@@ -120,20 +120,15 @@ def _cmd_attack(args) -> int:
     if args.type == "region_replace":
         if not args.rect or not args.source:
             raise ValueError("region_replace needs --rect and --source")
-        spec = attacks.AttackSpec(
-            kind="region_replace",
-            rect=_parse_rect(args.rect),
-            source=imageio.load_pgm(args.source),
-        )
+        # Arguments evaluate left to right: a malformed --rect is reported before a missing --source.
+        attacked = attacks.region_replace(image, _parse_rect(args.rect), imageio.load_pgm(args.source))
     elif args.type == "lsb_flip":
-        spec = attacks.AttackSpec(kind="lsb_flip", probability=args.prob, seed=args.seed)
-    elif args.type == "quantize":
-        spec = attacks.AttackSpec(kind="quantize", step=args.step)
-    else:
-        spec = attacks.AttackSpec(kind="intensity_shift", delta=args.delta)
-    attacked = attacks.apply_attack(image, spec)
-    if args.type == "lsb_flip":
+        attacked = attacks.lsb_flip(image, args.prob, args.seed)
         print("flipped %d of %d pixels" % (int((attacked != image).sum()), image.size))
+    elif args.type == "quantize":
+        attacked = attacks.quantize(image, args.step)
+    else:
+        attacked = attacks.intensity_shift(image, args.delta)
     imageio.save_pgm(args.output, attacked)
     return EXIT_OK
 

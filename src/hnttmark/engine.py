@@ -69,11 +69,7 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
         out[lo:hi] = _embed_blocks(stack[lo:hi], piece)
 
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(run, bounds[i], bounds[i + 1])
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
+        futures = [pool.submit(run, bounds[i], bounds[i + 1]) for i in range(workers)]
         for future in futures:
             future.result()
     return out

@@ -14,33 +14,12 @@ butterflies (eight in total) and performs no multiplications; plain
 add/subtract-then-reduce benchmarked ahead of both 3x3 lookup tables and
 conditional subtraction in CPython, so the butterflies use arithmetic.
 
-The public transforms are fixed to N=4, p=3.  A module-level counter
-instruments the modular products of the naive matrix route, so tests can
-assert the butterfly path performs none.
+The public transforms are fixed to N=4, p=3.
 """
 
 from .galois import DEFAULT_PARAMS, FieldParams, cas_table
 
 N = 4
-
-_mul_count = 0
-
-
-def reset_mul_count() -> None:
-    global _mul_count
-    _mul_count = 0
-
-
-def mul_count() -> int:
-    return _mul_count
-
-
-def _mul3(a: int, b: int) -> int:
-    """Counted mod-3 product, used wherever a transform route multiplies."""
-    global _mul_count
-    _mul_count += 1
-    return (a * b) % 3
-
 
 def build_matrix(params: FieldParams = DEFAULT_PARAMS) -> list[list[int]]:
     """N x N transform matrix with entries cas(i*k mod N)."""
@@ -83,13 +62,7 @@ def hntt_1d(x) -> list[int]:
     The reference implementation the fast path is checked against.
     """
     _check_vector(x)
-    out = []
-    for row in H4:
-        acc = 0
-        for h, v in zip(row, x):
-            acc += _mul3(h, v)
-        out.append(acc % 3)
-    return out
+    return [sum(h * v for h, v in zip(row, x)) % 3 for row in H4]
 
 
 def hntt_1d_fast(x) -> list[int]:

@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import hnttmark
 from hnttmark import imageio
 from hnttmark.cli import EXIT_ERROR, EXIT_OK, EXIT_TAMPERED, main
 from hnttmark.watermark import checkerboard_cell
@@ -22,6 +26,14 @@ def test_params_output(capsys):
     assert "cas table: 1 1 2 2" in out
     assert "1 1 1 1\n1 1 2 2\n1 2 1 2\n1 2 2 1" in out
     assert "NO" not in out
+
+
+def test_python_dash_m_runs_the_cli_quietly():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hnttmark.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "hnttmark", "params"], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert "cas table: 1 1 2 2" in proc.stdout
 
 
 def test_transform_forward(monkeypatch, capsys):
@@ -211,6 +223,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["embed", "--input", "x.pgm"]) == EXIT_ERROR  # missing --output
     assert main(["nosuchcommand"]) == EXIT_ERROR
     assert main(["params", "--bogus"]) == EXIT_ERROR
+    assert main(["attack", "--input", "x.pgm", "--output", "o.pgm", "--type", "rotate"]) == EXIT_ERROR
     assert main(["embed", "--input", str(tmp_path / "missing.pgm"), "--output", str(tmp_path / "o.pgm")]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "error:" in err
