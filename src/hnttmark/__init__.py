@@ -9,7 +9,7 @@ which is what makes the scheme fragile and tamper-localizing.
 from . import attacks, cli, engine, galois, hntt, imageio, watermark
 from .attacks import intensity_shift, lsb_flip, quantize, region_replace
 from .engine import BenchResult, benchmark, frame_rate_equivalent, process_blocks
-from .galois import DEFAULT_PARAMS, FieldParams, GaussInt, cas_table
+from .galois import GaussInt, cas_table
 from .hntt import (
     H4,
     build_matrix,

@@ -37,15 +37,14 @@ def _load_pattern(args) -> np.ndarray:
 
 
 def _cmd_params(args) -> int:
-    params = galois.DEFAULT_PARAMS
-    order = galois.multiplicative_order(params.zeta)
-    print("p = %d" % params.p)
-    print("zeta = %s" % params.zeta)
-    print("N = %d" % params.order_n)
-    print("p is an odd prime with p %% 4 == 3: %s" % _yesno(galois.is_odd_prime(params.p) and params.p % 4 == 3))
-    print("zeta is unimodular: %s" % _yesno(params.zeta.is_unimodular()))
-    print("multiplicative order of zeta = %d: %s" % (order, _yesno(order == params.order_n)))
-    print("cas table: %s" % " ".join(str(v) for v in galois.cas_table(params)))
+    order = galois.multiplicative_order(galois.ZETA)
+    print("p = %d" % galois.P)
+    print("zeta = %s" % galois.ZETA)
+    print("N = %d" % galois.N)
+    print("p is an odd prime with p %% 4 == 3: %s" % _yesno(galois.is_odd_prime(galois.P) and galois.P % 4 == 3))
+    print("zeta is unimodular: %s" % _yesno(galois.ZETA.is_unimodular()))
+    print("multiplicative order of zeta = %d: %s" % (order, _yesno(order == galois.N)))
+    print("cas table: %s" % " ".join(str(v) for v in galois.cas_table()))
     print("H4:")
     for row in hntt.H4:
         print(" ".join(str(v) for v in row))
@@ -210,7 +209,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,23 +1,26 @@
-"""Exact arithmetic in GF(p) and its Gaussian-integer extension GI(p).
+"""Exact arithmetic in GF(3) and its Gaussian-integer extension GI(3).
 
-Field elements are plain integers reduced to [0, p-1].  GI(p) is the set
-{a + jb : a, b in GF(p)} with j*j = -1; it is a field exactly when
-p % 4 == 3, because then -1 is a quadratic nonresidue and nonzero norms
-a^2 + b^2 are invertible.  (Some texts garble the j*j = -1 congruence;
-it is a relation mod p, valid whenever p % 4 == 3.)
+Field elements are plain integers reduced to [0, 2].  GI(3) is the set
+{a + jb : a, b in GF(3)} with j*j = -1; it is a field because 3 % 4 == 3,
+so -1 is a quadratic nonresidue and nonzero norms a^2 + b^2 are
+invertible.  (Some texts garble the j*j = -1 congruence; it is a
+relation mod 3.)
 
-The watermarking pipeline is hard-wired to p=3, zeta=j, N=4; other small
-primes with p % 4 == 3 are accepted here so the parameter constraints can
-be validated and explored in tests.  Everything uses exhaustive scans and
-iterated multiplication rather than number-theoretic shortcuts: p is tiny
-by design and the scans double as their own oracles.
+The field is fixed: p = 3, zeta = j and N = 4 are the module constants
+P, ZETA and N, and the cas table of the transform is derived from them.
+Everything uses exhaustive scans and iterated multiplication rather than
+number-theoretic shortcuts: the field is tiny and the scans double as
+their own oracles.
 """
 
 from dataclasses import dataclass
 
+P = 3
+N = 4
+
 
 def is_odd_prime(p: int) -> bool:
-    """Trial-division primality check, adequate for the small p used here."""
+    """Trial-division primality check, adequate for small p."""
     if p < 3 or p % 2 == 0:
         return False
     d = 3
@@ -28,68 +31,40 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-def gf_add(a: int, b: int, p: int = 3) -> int:
-    return (a + b) % p
-
-
-def gf_sub(a: int, b: int, p: int = 3) -> int:
-    return (a - b) % p
-
-
-def gf_mul(a: int, b: int, p: int = 3) -> int:
-    return (a * b) % p
-
-
-def gf_inv(a: int, p: int = 3) -> int:
-    """Multiplicative inverse in GF(p).  Raises ZeroDivisionError for 0."""
-    if a % p == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(%d)" % p)
-    return pow(a, -1, p)
-
-
-def is_quadratic_nonresidue(a: int, p: int) -> bool:
-    """True iff x*x == a (mod p) has no solution, by exhaustive scan."""
-    a %= p
-    return all((x * x) % p != a for x in range(p))
+def gf_inv(a: int) -> int:
+    """Multiplicative inverse in GF(3).  Raises ZeroDivisionError for 0."""
+    if a % P == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse in GF(%d)" % P)
+    return pow(a, -1, P)
 
 
 @dataclass(frozen=True)
 class GaussInt:
-    """Element re + j*im of GI(p), components reduced mod p."""
+    """Element re + j*im of GI(3), components reduced mod 3."""
 
     re: int
     im: int
-    p: int = 3
 
     def __post_init__(self):
-        if not is_odd_prime(self.p) or self.p % 4 != 3:
-            raise ValueError("GI(p) requires an odd prime p with p %% 4 == 3, got p=%d" % self.p)
-        object.__setattr__(self, "re", self.re % self.p)
-        object.__setattr__(self, "im", self.im % self.p)
-
-    def _check_field(self, other: "GaussInt") -> None:
-        if self.p != other.p:
-            raise ValueError("modulus mismatch: GI(%d) vs GI(%d)" % (self.p, other.p))
+        object.__setattr__(self, "re", self.re % P)
+        object.__setattr__(self, "im", self.im % P)
 
     def __add__(self, other: "GaussInt") -> "GaussInt":
-        self._check_field(other)
-        return GaussInt(self.re + other.re, self.im + other.im, self.p)
+        return GaussInt(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussInt") -> "GaussInt":
-        self._check_field(other)
-        return GaussInt(self.re - other.re, self.im - other.im, self.p)
+        return GaussInt(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "GaussInt") -> "GaussInt":
         # (a + jb)(c + jd) = (ac - bd) + j(ad + bc), using j*j = -1
-        self._check_field(other)
         a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussInt(a * c - b * d, a * d + b * c, self.p)
+        return GaussInt(a * c - b * d, a * d + b * c)
 
     def __pow__(self, k: int) -> "GaussInt":
         """Square-and-multiply; negative exponents go through the inverse."""
         base = self.inverse() if k < 0 else self
         k = abs(k)
-        result = GaussInt(1, 0, self.p)
+        result = GaussInt(1, 0)
         while k:
             if k & 1:
                 result = result * base
@@ -104,22 +79,22 @@ class GaussInt:
         return self.re == 1 and self.im == 0
 
     def is_unimodular(self) -> bool:
-        """True iff re^2 + im^2 == 1 (mod p)."""
-        return (self.re * self.re + self.im * self.im) % self.p == 1
+        """True iff re^2 + im^2 == 1 (mod 3)."""
+        return self.norm() == 1
 
     def norm(self) -> int:
-        return (self.re * self.re + self.im * self.im) % self.p
+        return (self.re * self.re + self.im * self.im) % P
 
     def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im, self.p)
+        return GaussInt(self.re, -self.im)
 
     def inverse(self) -> "GaussInt":
         """(a + jb)^-1 = (a - jb) / (a^2 + b^2); the norm is nonzero for
-        nonzero elements because p % 4 == 3."""
+        nonzero elements because 3 % 4 == 3."""
         if self.is_zero():
-            raise ZeroDivisionError("0 has no multiplicative inverse in GI(%d)" % self.p)
-        n_inv = gf_inv(self.norm(), self.p)
-        return GaussInt(self.re * n_inv, -self.im * n_inv, self.p)
+            raise ZeroDivisionError("0 has no multiplicative inverse in GI(%d)" % P)
+        n_inv = gf_inv(self.norm())
+        return GaussInt(self.re * n_inv, -self.im * n_inv)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -128,76 +103,46 @@ class GaussInt:
         return jpart if self.re == 0 else "%d + %s" % (self.re, jpart)
 
 
+# zeta = j: unimodular of multiplicative order exactly N, which makes
+# every cas(i) land in the base field GF(3).
+ZETA = GaussInt(0, 1)
+
+
 def multiplicative_order(z: GaussInt) -> int:
     """Smallest k >= 1 with z^k == 1, by iterated multiplication.
 
-    Capped at p^2 - 1 steps; every nonzero element of GI(p) has order
-    dividing p^2 - 1, so the cap is never hit for valid input.
+    Capped at 3^2 - 1 steps; every nonzero element of GI(3) has order
+    dividing 8, so the cap is never hit for valid input.
     """
     if z.is_zero():
         raise ValueError("0 has no multiplicative order")
     acc = z
-    for k in range(1, z.p * z.p):
+    for k in range(1, P * P):
         if acc.is_one():
             return k
         acc = acc * z
     raise ValueError("no order found below p^2 - 1 for %s" % z)
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Validated transform parameters (p, zeta, N).
-
-    zeta must be unimodular of multiplicative order exactly order_n; that
-    makes every cas(i) land in the base field GF(p).  The defaults are the
-    triple the whole toolkit is built around: p=3, zeta=j, N=4.
-    """
-
-    p: int = 3
-    zeta: GaussInt = GaussInt(0, 1, 3)
-    order_n: int = 4
-
-    def __post_init__(self):
-        if not is_odd_prime(self.p) or self.p % 4 != 3:
-            raise ValueError("p must be an odd prime with p %% 4 == 3, got %d" % self.p)
-        if self.zeta.p != self.p:
-            raise ValueError("zeta lives in GI(%d), params say p=%d" % (self.zeta.p, self.p))
-        if not self.zeta.is_unimodular():
-            raise ValueError("zeta=%s is not unimodular (re^2+im^2 != 1 mod %d)" % (self.zeta, self.p))
-        order = multiplicative_order(self.zeta)
-        if order != self.order_n:
-            raise ValueError("zeta=%s has order %d, expected %d" % (self.zeta, order, self.order_n))
-
-
-DEFAULT_PARAMS = FieldParams()
-
-
-def ff_cos(params: FieldParams, i: int) -> GaussInt:
+def ff_cos(i: int) -> GaussInt:
     """Finite-field cosine: (zeta^i + zeta^-i) / 2."""
-    zi = params.zeta ** i
-    zmi = params.zeta ** (-i)
-    inv2 = GaussInt(gf_inv(2, params.p), 0, params.p)
+    zi = ZETA ** i
+    zmi = ZETA ** (-i)
+    inv2 = GaussInt(gf_inv(2), 0)
     return (zi + zmi) * inv2
 
 
-def ff_sin(params: FieldParams, i: int) -> GaussInt:
+def ff_sin(i: int) -> GaussInt:
     """Finite-field sine: (zeta^i - zeta^-i) / 2j."""
-    zi = params.zeta ** i
-    zmi = params.zeta ** (-i)
-    inv2j = GaussInt(0, 2, params.p).inverse()
+    zi = ZETA ** i
+    zmi = ZETA ** (-i)
+    inv2j = GaussInt(0, 2).inverse()
     return (zi - zmi) * inv2j
 
 
-def cas_table(params: FieldParams = DEFAULT_PARAMS) -> list[int]:
-    """cas(i) = cos(i) + sin(i) for i = 0..N-1, as base-field integers.
+def cas_table() -> list[int]:
+    """cas(i) = cos(i) + sin(i) for i = 0..N-1, as GF(3) integers.
 
-    Unimodularity of zeta guarantees zero imaginary parts; a nonzero one
-    is reported as a parameter error rather than silently truncated.
+    zeta is unimodular, so every imaginary part is zero.
     """
-    out = []
-    for i in range(params.order_n):
-        v = ff_cos(params, i) + ff_sin(params, i)
-        if v.im != 0:
-            raise ValueError("cas(%d) = %s has a nonzero imaginary part; zeta is not unimodular" % (i, v))
-        out.append(v.re)
-    return out
+    return [(ff_cos(i) + ff_sin(i)).re for i in range(N)]

@@ -14,18 +14,17 @@ butterflies (eight in total) and performs no multiplications; plain
 add/subtract-then-reduce benchmarked ahead of both 3x3 lookup tables and
 conditional subtraction in CPython, so the butterflies use arithmetic.
 
-The public transforms are fixed to N=4, p=3.
+The field is fixed: N=4 and p=3 come from galois, which derives the
+cas table from zeta = j.
 """
 
-from .galois import DEFAULT_PARAMS, FieldParams, cas_table
+from .galois import N, cas_table
 
-N = 4
 
-def build_matrix(params: FieldParams = DEFAULT_PARAMS) -> list[list[int]]:
+def build_matrix() -> list[list[int]]:
     """N x N transform matrix with entries cas(i*k mod N)."""
-    cas = cas_table(params)
-    n = params.order_n
-    return [[cas[(i * k) % n] for k in range(n)] for i in range(n)]
+    cas = cas_table()
+    return [[cas[(i * k) % N] for k in range(N)] for i in range(N)]
 
 
 H4 = tuple(tuple(row) for row in build_matrix())

@@ -60,6 +60,14 @@ def as_ternary(pattern) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def check_multiple_of_4(arr: np.ndarray, name: str) -> np.ndarray:
+    """Return a 2-D array as is if both its dimensions are multiples of 4."""
+    h, w = arr.shape
+    if h % 4 or w % 4:
+        raise ValueError("%s dimensions %dx%d are not multiples of 4" % (name, w, h))
+    return arr
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     n = len(data)
     while pos < n:
@@ -154,11 +162,7 @@ def read_watermark(data: bytes) -> np.ndarray:
     time) or a full per-block grid; both mean dimensions must be
     multiples of 4, and every value must be in {0, 1, 2}.
     """
-    arr = as_ternary(read_pgm(data))
-    h, w = arr.shape
-    if h % 4 or w % 4:
-        raise ValueError("watermark dimensions %dx%d are not multiples of 4" % (w, h))
-    return arr
+    return check_multiple_of_4(as_ternary(read_pgm(data)), "watermark")
 
 
 def write_watermark(pattern) -> bytes:
@@ -166,9 +170,7 @@ def write_watermark(pattern) -> bytes:
     arr = as_ternary(pattern)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("watermark pattern must be a non-empty 2-D integer array")
-    h, w = arr.shape
-    if h % 4 or w % 4:
-        raise ValueError("watermark dimensions %dx%d are not multiples of 4" % (w, h))
+    h, w = check_multiple_of_4(arr, "watermark").shape
     return b"P5\n%d %d\n2\n" % (w, h) + arr.tobytes()
 
 

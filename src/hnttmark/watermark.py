@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hntt
-from .imageio import as_gray, as_ternary
+from .imageio import as_gray, as_ternary, check_multiple_of_4
 
 # Pixel decomposition tables, indexed by pixel value.
 RESIDUE_TABLE = tuple(v % 3 for v in range(256))
@@ -116,14 +116,6 @@ def _unblockify(blocks: np.ndarray) -> np.ndarray:
     return blocks.swapaxes(1, 2).reshape(by * 4, bx * 4)
 
 
-def _check_image(image, name: str = "image") -> np.ndarray:
-    arr = as_gray(image)
-    h, w = arr.shape
-    if h % 4 or w % 4:
-        raise ValueError("%s dimensions %dx%d are not multiples of 4" % (name, w, h))
-    return arr
-
-
 def _pattern_cells(pattern, blocks_y: int, blocks_x: int) -> np.ndarray:
     """Validate a pattern as a 4x4 cell or a full (blocks_y*4, blocks_x*4)
     grid and return it as uint8: the cell as is, the grid blockified to
@@ -167,15 +159,15 @@ def embed_image(image, pattern) -> np.ndarray:
     Blocks are independent; the result equals running embed_block over
     every 4x4 tile in any order.
     """
-    img = _check_image(image)
+    img = check_multiple_of_4(as_gray(image), "image")
     cells = _pattern_cells(pattern, img.shape[0] // 4, img.shape[1] // 4)
     return _unblockify(_embed_blocks(_blockify(img), cells))
 
 
 def extract_image(original, suspect) -> np.ndarray:
     """Extract the full-grid watermark pattern from an image pair."""
-    orig = _check_image(original, "original")
-    susp = _check_image(suspect, "suspect")
+    orig = check_multiple_of_4(as_gray(original), "original")
+    susp = check_multiple_of_4(as_gray(suspect), "suspect")
     if orig.shape != susp.shape:
         raise ValueError(
             "dimension mismatch: original is %dx%d, suspect is %dx%d"
@@ -190,11 +182,21 @@ def extract_image(original, suspect) -> np.ndarray:
 class TamperReport:
     """Per-block extraction damage and tamper verdicts for one image pair."""
 
-    grid_width: int
-    grid_height: int
     threshold: int
     distances: np.ndarray  # (grid_height, grid_width) Hamming distances, 0..16
-    tampered: np.ndarray  # same shape, bool
+
+    @property
+    def grid_width(self) -> int:
+        return self.distances.shape[1]
+
+    @property
+    def grid_height(self) -> int:
+        return self.distances.shape[0]
+
+    @property
+    def tampered(self) -> np.ndarray:
+        """Per-block verdicts, distance > threshold (bool, same shape)."""
+        return self.distances > self.threshold
 
     @property
     def total_tampered(self) -> int:
@@ -235,10 +237,4 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     extracted = extract_image(original, suspect)
     by, bx = extracted.shape[0] // 4, extracted.shape[1] // 4
     distances = (_blockify(extracted) != _pattern_cells(reference, by, bx)).sum(axis=(2, 3))
-    return TamperReport(
-        grid_width=bx,
-        grid_height=by,
-        threshold=threshold,
-        distances=distances,
-        tampered=distances > threshold,
-    )
+    return TamperReport(threshold=threshold, distances=distances)

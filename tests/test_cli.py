@@ -22,10 +22,20 @@ def _make_image(path, seed=0, shape=(32, 32)):
 
 def test_params_output(capsys):
     assert main(["params"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "cas table: 1 1 2 2" in out
-    assert "1 1 1 1\n1 1 2 2\n1 2 1 2\n1 2 2 1" in out
-    assert "NO" not in out
+    assert capsys.readouterr().out == (
+        "p = 3\n"
+        "zeta = j\n"
+        "N = 4\n"
+        "p is an odd prime with p % 4 == 3: yes\n"
+        "zeta is unimodular: yes\n"
+        "multiplicative order of zeta = 4: yes\n"
+        "cas table: 1 1 2 2\n"
+        "H4:\n"
+        "1 1 1 1\n"
+        "1 1 2 2\n"
+        "1 2 1 2\n"
+        "1 2 2 1\n"
+    )
 
 
 def test_python_dash_m_runs_the_cli_quietly():
@@ -225,6 +235,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["params", "--bogus"]) == EXIT_ERROR
     assert main(["attack", "--input", "x.pgm", "--output", "o.pgm", "--type", "rotate"]) == EXIT_ERROR
     assert main(["embed", "--input", str(tmp_path / "missing.pgm"), "--output", str(tmp_path / "o.pgm")]) == EXIT_ERROR
+    # a 2^23 x 2^23 frame exceeds the address space, so its allocation is refused
+    assert main(["bench", "--width", "8388608", "--height", "8388608", "--iters", "1"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "error:" in err
 

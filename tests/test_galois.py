@@ -1,41 +1,39 @@
-"""GF(p) / GI(p) arithmetic and transform-parameter validation."""
+"""GF(3) / GI(3) arithmetic and the fixed transform parameters."""
 
 import pytest
 
 from hnttmark.galois import (
-    DEFAULT_PARAMS,
-    FieldParams,
+    N,
+    P,
+    ZETA,
     GaussInt,
     cas_table,
     ff_cos,
     ff_sin,
-    gf_add,
     gf_inv,
-    gf_mul,
-    gf_sub,
     is_odd_prime,
-    is_quadratic_nonresidue,
     multiplicative_order,
 )
 
 
 def test_gf_basics_mod3():
-    assert gf_add(1, 2) == 0
-    assert gf_mul(2, 2) == 1  # doubles as 2^-1 == 2
-    assert gf_sub(0, 1) == 2  # -1 == 2 mod 3
+    # the base field inside GI(3): elements with zero imaginary part
+    assert GaussInt(1, 0) + GaussInt(2, 0) == GaussInt(0, 0)
+    assert GaussInt(2, 0) * GaussInt(2, 0) == GaussInt(1, 0)  # doubles as 2^-1 == 2
+    assert GaussInt(0, 0) - GaussInt(1, 0) == GaussInt(2, 0)  # -1 == 2 mod 3
+    assert gf_inv(2) == 2
 
 
-@pytest.mark.parametrize("p", [3, 7, 11, 19])
-def test_gf_inv_exhaustive(p):
-    for a in range(1, p):
-        assert gf_mul(a, gf_inv(a, p), p) == 1
+def test_gf_inv_exhaustive():
+    for a in range(1, 3):
+        assert (a * gf_inv(a)) % 3 == 1
 
 
 def test_gf_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
         gf_inv(0)
     with pytest.raises(ZeroDivisionError):
-        gf_inv(6, 3)  # congruent to zero
+        gf_inv(6)  # congruent to zero
 
 
 def test_is_odd_prime():
@@ -46,20 +44,6 @@ def test_gi_mul_hand_case():
     # (1+j)^2 = 1 + 2j + j^2 = 2j over GF(3)
     z = GaussInt(1, 1)
     assert z * z == GaussInt(0, 2)
-
-
-def test_gi_modulus_mismatch():
-    with pytest.raises(ValueError):
-        GaussInt(1, 1, 3) * GaussInt(1, 1, 7)
-    with pytest.raises(ValueError):
-        GaussInt(1, 1, 3) + GaussInt(1, 1, 7)
-
-
-def test_gi_requires_3_mod_4():
-    with pytest.raises(ValueError):
-        GaussInt(1, 1, 5)  # 5 % 4 == 1: j would have a base-field square root
-    with pytest.raises(ValueError):
-        GaussInt(1, 1, 9)  # not prime
 
 
 def test_gi_pow():
@@ -79,24 +63,6 @@ def test_gi_pow_negative_inverts():
                 continue
             for k in (1, 2, 5):
                 assert (z**-k) * (z**k) == GaussInt(1, 0)
-
-
-def test_quadratic_nonresidue_small_cases():
-    assert is_quadratic_nonresidue(2, 3)  # squares mod 3 are {0, 1}
-    assert not is_quadratic_nonresidue(1, 3)
-    assert is_quadratic_nonresidue(3, 7)  # squares mod 7 are {0, 1, 2, 4}
-
-
-@pytest.mark.parametrize("p", [3, 7, 11, 19])
-def test_quadratic_nonresidue_euler_cross_check(p):
-    # independent oracle: Euler's criterion a^((p-1)/2) == -1 for nonresidues
-    for a in range(1, p):
-        assert is_quadratic_nonresidue(a, p) == (pow(a, (p - 1) // 2, p) == p - 1)
-
-
-@pytest.mark.parametrize("p", [3, 7, 11, 19])
-def test_minus_one_is_nonresidue_for_3_mod_4(p):
-    assert is_quadratic_nonresidue(p - 1, p)
 
 
 def test_unimodular():
@@ -124,6 +90,15 @@ def test_multiplicative_order():
         multiplicative_order(GaussInt(0, 0))
 
 
+def test_field_constants():
+    assert P == 3
+    assert ZETA == GaussInt(0, 1)
+    assert N == 4
+    assert is_odd_prime(P) and P % 4 == 3
+    assert ZETA.is_unimodular()
+    assert multiplicative_order(ZETA) == N
+
+
 def test_order_is_minimal_exponent():
     for a in range(3):
         for b in range(3):
@@ -134,46 +109,6 @@ def test_order_is_minimal_exponent():
             assert (z**n).is_one()
             for k in range(1, n):
                 assert not (z**k).is_one()
-
-
-def test_field_params_defaults():
-    assert DEFAULT_PARAMS.p == 3
-    assert DEFAULT_PARAMS.zeta == GaussInt(0, 1)
-    assert DEFAULT_PARAMS.order_n == 4
-
-
-def test_field_params_rejections():
-    with pytest.raises(ValueError):
-        FieldParams(p=5, zeta=GaussInt(0, 1, 3))  # 5 % 4 != 3
-    with pytest.raises(ValueError):
-        FieldParams(p=9, zeta=GaussInt(0, 1, 3))  # not prime
-    with pytest.raises(ValueError):
-        FieldParams(p=3, zeta=GaussInt(1, 1, 3), order_n=4)  # not unimodular
-    with pytest.raises(ValueError):
-        FieldParams(p=3, zeta=GaussInt(0, 1, 3), order_n=8)  # wrong order
-    with pytest.raises(ValueError):
-        FieldParams(p=7, zeta=GaussInt(0, 1, 3), order_n=4)  # field mismatch
-
-
-def _unimodular_of_order(p, n):
-    found = []
-    for a in range(p):
-        for b in range(p):
-            z = GaussInt(a, b, p)
-            if z.is_zero() or not z.is_unimodular():
-                continue
-            if multiplicative_order(z) == n:
-                found.append(z)
-    return found
-
-
-def test_field_params_gf7_order8():
-    generators = _unimodular_of_order(7, 8)
-    # the unit circle of GI(7) is cyclic of order 8, so phi(8) = 4 generators
-    assert len(generators) == 4
-    assert GaussInt(2, 2, 7) in generators
-    params = FieldParams(p=7, zeta=GaussInt(2, 2, 7), order_n=8)
-    assert params.order_n == 8
 
 
 def test_conjugate_times_self_is_norm():
@@ -187,42 +122,13 @@ def test_cas_table_default():
     assert cas_table() == [1, 1, 2, 2]
 
 
-def test_cas_table_rejects_non_unimodular_zeta():
-    # FieldParams would refuse these parameters outright; bypass it to pin
-    # the imaginary-part guard inside the table builder itself
-    from types import SimpleNamespace
-
-    fake = SimpleNamespace(p=7, zeta=GaussInt(2, 0, 7), order_n=3)
-    with pytest.raises(ValueError, match="imaginary"):
-        cas_table(fake)
+def test_cas_zero_is_one():
+    assert cas_table()[0] == 1
 
 
-def test_cas_table_gf7():
-    # brute-force-searched unimodular order-8 element, then the formula
-    params = FieldParams(p=7, zeta=GaussInt(2, 2, 7), order_n=8)
-    table = cas_table(params)
-    assert table == [1, 4, 1, 0, 6, 3, 6, 0]
-    assert all(0 <= v < 7 for v in table)
-
-
-@pytest.mark.parametrize(
-    "params",
-    [DEFAULT_PARAMS, FieldParams(p=7, zeta=GaussInt(2, 2, 7), order_n=8)],
-    ids=["gf3", "gf7"],
-)
-def test_cas_zero_is_one(params):
-    assert cas_table(params)[0] == 1
-
-
-@pytest.mark.parametrize(
-    "params",
-    [DEFAULT_PARAMS, FieldParams(p=7, zeta=GaussInt(2, 2, 7), order_n=8)],
-    ids=["gf3", "gf7"],
-)
-def test_pythagorean_identity(params):
-    one = GaussInt(1, 0, params.p)
-    for i in range(params.order_n):
-        c = ff_cos(params, i)
-        s = ff_sin(params, i)
+def test_pythagorean_identity():
+    for i in range(N):
+        c = ff_cos(i)
+        s = ff_sin(i)
         assert c.im == 0 and s.im == 0
-        assert c * c + s * s == one
+        assert c * c + s * s == GaussInt(1, 0)

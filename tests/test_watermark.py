@@ -312,13 +312,7 @@ def test_verify_threshold_semantics():
 
 def test_report_serialization():
     distances = np.array([[0, 3], [16, 0]])
-    report = TamperReport(
-        grid_width=2,
-        grid_height=2,
-        threshold=0,
-        distances=distances,
-        tampered=distances > 0,
-    )
+    report = TamperReport(threshold=0, distances=distances)
     d = report.to_dict()
     assert d["grid_width"] == 2 and d["grid_height"] == 2
     assert d["distances"] == [0, 3, 16, 0]
