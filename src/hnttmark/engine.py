@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .imageio import as_pixels, as_ternary
-from .watermark import _blockify, _embed_blocks, checkerboard_cell
+from .watermark import _EMBED, _transform, checkerboard_cell
 
 
 def _as_block_stack(blocks) -> np.ndarray:
@@ -46,8 +46,11 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
 
     The output is identical to sequential per-block embedding regardless
     of worker count; the blocks are cut into `workers` disjoint contiguous
-    slices, each run with the same embed kernel as watermark.embed_image
-    on a pool of at most os.cpu_count() threads.
+    slices, each run with the same transform kernel and embed table as
+    watermark.embed_image on a pool of at most os.cpu_count() threads.
+    The stack (n, 4, 4) is the (4n, 4) image the kernel works on.  A
+    single cell is transformed once before the fan-out; one cell per
+    block is transformed slice by slice.
     Accepts a list of 4x4 blocks or an (n, 4, 4) array; the pattern is a
     single cell applied to all blocks, or one cell per block.
     """
@@ -58,15 +61,22 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     cells = _as_cells(pattern, n)
     if n == 0:
         return stack.copy()
+    single = cells.ndim == 2
+    if single:
+        cells = _transform(cells)  # once, before the fan-out
+
+    def embed(lo: int, hi: int) -> np.ndarray:
+        transformed = cells if single else _transform(cells[lo:hi].reshape(-1, 4)).reshape(-1, 4, 4)
+        return _EMBED[stack[lo:hi], transformed]
+
     if workers == 1 or n < 2 * workers:
-        return _embed_blocks(stack, cells)
+        return embed(0, n)
 
     out = np.empty_like(stack)
     bounds = [(i * n) // workers for i in range(workers + 1)]
 
     def run(lo: int, hi: int) -> None:
-        piece = cells if cells.ndim == 2 else cells[lo:hi]
-        out[lo:hi] = _embed_blocks(stack[lo:hi], piece)
+        out[lo:hi] = embed(lo, hi)
 
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(run, bounds[i], bounds[i + 1]) for i in range(workers)]
@@ -119,9 +129,11 @@ def frame_rate_equivalent(blocks_per_second: float, frame_width: int, frame_heig
 
 def _synthetic_frame(width: int, height: int) -> np.ndarray:
     """Deterministic test frame covering all pixel values and residues."""
-    rows = np.arange(height, dtype=np.uint32)[:, None]
-    cols = np.arange(width, dtype=np.uint32)[None, :]
-    return ((rows * 7 + cols * 13) % 256).astype(np.uint8)
+    # uint8 addition wraps mod 256, so only the two small vectors need the
+    # wide products: no full-size temporary
+    rows = (np.arange(height, dtype=np.uint64) * 7 % 256).astype(np.uint8)[:, None]
+    cols = (np.arange(width, dtype=np.uint64) * 13 % 256).astype(np.uint8)[None, :]
+    return rows + cols
 
 
 def benchmark(
@@ -134,7 +146,8 @@ def benchmark(
     if iterations < 1:
         raise ValueError("iterations must be >= 1, got %d" % iterations)
     frame_blocks = _frame_blocks(frame_width, frame_height)
-    stack = np.ascontiguousarray(_blockify(_synthetic_frame(frame_width, frame_height)).reshape(-1, 4, 4))
+    frame = _synthetic_frame(frame_width, frame_height)
+    stack = frame.reshape(frame_height // 4, 4, frame_width // 4, 4).swapaxes(1, 2).reshape(-1, 4, 4)
     cell = checkerboard_cell()
 
     process_blocks(stack[: min(256, frame_blocks)], cell, workers)  # warm-up

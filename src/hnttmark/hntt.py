@@ -12,7 +12,18 @@ N^-1 = 4^-1 == 1 mod 3, so forward and inverse transforms are the same
 computation.  The fast 1-D path is two stages of mod-3 add/sub
 butterflies (eight in total) and performs no multiplications; plain
 add/subtract-then-reduce benchmarked ahead of both 3x3 lookup tables and
-conditional subtraction in CPython, so the butterflies use arithmetic.
+conditional subtraction in CPython, so the butterflies here use
+arithmetic.  That finding holds for this scalar route only.  The image
+routes run the same butterflies in numpy as lookups on packed rows
+(watermark._transform; the watermark module docstring has the details).
+It works on images in their own layout, where a block row is 4
+contiguous pixels.  Each row packs by arithmetic into one code (base 5
+on input, base 3 after the first lookup); a 625-entry table applies H
+along the row, two flat 81x81 tables add and subtract whole row codes
+digitwise mod 3 for the column butterflies, and one gather of 4-byte
+digit words unpacks the codes independently of byte order.  The
+functions here are the reference those routes are tested against and
+stay out of production paths.
 
 The field is fixed: N=4 and p=3 come from galois, which derives the
 cas table from zeta = j.

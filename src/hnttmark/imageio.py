@@ -126,12 +126,11 @@ def read_pgm(data: bytes) -> np.ndarray:
         if pos >= len(data) or data[pos] not in _WHITESPACE:
             raise ValueError("malformed PGM header: missing separator before pixel data")
         pos += 1
-        raster = data[pos : pos + count]
-        if len(raster) < count:
-            raise ValueError("truncated PGM pixel data: expected %d bytes, got %d" % (count, len(raster)))
+        if len(data) - pos < count:
+            raise ValueError("truncated PGM pixel data: expected %d bytes, got %d" % (count, len(data) - pos))
         if data[pos + count :].strip(_WHITESPACE):
             raise ValueError("trailing data after PGM raster")
-        pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+        pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos).reshape(height, width).copy()
         if maxval < 255 and pixels.max() > maxval:
             raise ValueError(_RANGE_ERROR % maxval)
         return pixels
@@ -152,7 +151,7 @@ def write_pgm(image) -> bytes:
     """Serialize an image as binary PGM (P5, maxval 255)."""
     img = as_gray(image)
     height, width = img.shape
-    return b"P5\n%d %d\n255\n" % (width, height) + img.tobytes()
+    return b"".join((b"P5\n%d %d\n255\n" % (width, height), np.ascontiguousarray(img)))
 
 
 def read_watermark(data: bytes) -> np.ndarray:

@@ -22,6 +22,22 @@ two images.  Arithmetic is exact, hence embed-then-extract returns w
 exactly and any residue change anywhere in a block damages that block's
 extracted cell.
 
+Every image route runs T through one kernel, _transform, which performs
+the paper's butterflies as table lookups on packed rows.  It works on an
+(h, w) array in image layout, where a block row is 4 contiguous values,
+so a.reshape(h//4, 4, w//4, 4) names every block row without a copy; an
+(n, 4, 4) block stack is the same thing as a (4n, 4) image.  A row of
+digits a0..a3 packs by arithmetic into one code, a0 most significant:
+base 5 on input (digits 0..4, so extraction can feed it a residue plus a
+negated residue, < 625) and base 3 after the first lookup (< 81).  Three
+tables do the work: _ROW maps a base-5 row code to the base-3 code of
+H*row mod 3; the flat 81x81 _ADD and _SUB, indexed by 81*x + y, add and
+subtract two base-3 codes digitwise mod 3, which runs the column
+butterflies on whole rows, 8 lookups per block.  Unpacking is one gather
+from the (81, 4) digit table viewed as one uint32 per code, viewed back
+as bytes; the bytes round-trip unchanged, so the result does not depend
+on byte order.
+
 The divisible part is capped at 252 (pixels 253-255 share d = 252) so
 that x' = d + r' <= 254 always fits 8 bits; the cap costs at most 3 grey
 levels on pixels of value 255 and never disturbs x' mod 3 = r', which is
@@ -53,7 +69,43 @@ _EMBED = np.array(
     [[d + (r + t) % 3 for t in range(3)] for r, d in zip(RESIDUE_TABLE, DIVISIBLE_TABLE)],
     dtype=np.uint8,
 )
-_H = np.array(hntt.H4, dtype=np.int16)
+_RES = np.array(RESIDUE_TABLE, dtype=np.uint8)
+_NEG = (3 - _RES) % 3  # -x mod 3
+
+
+def _code(digits, base: int):
+    """Pack 4 digits, digits[0] most significant, into one uint16 code.
+
+    digits holds the 4 digit arrays on its first axis.  Each pair of
+    digits is combined in the input dtype: below base**2 <= 25, so uint8
+    digits stay uint8 until the last step.
+    """
+    high = digits[0] * base + digits[1]
+    low = digits[2] * base + digits[3]
+    return high.astype(np.uint16) * (base * base) + low
+
+
+def _digits(base: int) -> np.ndarray:
+    """The 4 digits of every code below base**4: (4, base**4) uint8."""
+    return (np.arange(base**4) // base ** np.arange(3, -1, -1)[:, None] % base).astype(np.uint8)
+
+
+def _row_table() -> np.ndarray:
+    """Base-5 code of a row -> base-3 code of H*row mod 3, computed with the
+    two butterfly stages of hntt.hntt_1d_fast on every row at once."""
+    x0, x1, x2, x3 = _digits(5).astype(np.int16)
+    a0, a1, a2, a3 = x0 + x1, x0 - x1, x2 + x3, x2 - x3
+    return _code(np.stack([a0 + a2, a0 - a2, a1 + a3, a1 - a3]) % 3, 3).astype(np.uint8)
+
+
+# Transform kernel tables (see the module docstring).  Every table is built
+# in uint8 or int16 with the long axis innermost, which keeps import cheap.
+_D3 = _digits(3)
+_DIGITS = np.ascontiguousarray(_D3.T)  # (81, 4): row q holds the digits of code q
+_DIGIT_WORDS = _DIGITS.view(np.uint32).ravel()
+_ROW = _row_table()
+_ADD = _code((_D3[:, :, None] + _D3[:, None]) % 3, 3).astype(np.uint8).ravel()
+_SUB = _code((_D3[:, :, None] + 3 - _D3[:, None]) % 3, 3).astype(np.uint8).ravel()
 
 ResidueDecomposition = namedtuple("ResidueDecomposition", ["residue", "divisible"])
 
@@ -106,51 +158,46 @@ def extract_block(original, suspect) -> list[list[int]]:
     return [[(t_susp[i][k] - t_orig[i][k]) % 3 for k in range(4)] for i in range(4)]
 
 
-def _blockify(arr: np.ndarray) -> np.ndarray:
+def _blocks(arr: np.ndarray) -> np.ndarray:
+    """View an (h, w) array as (h//4, 4, w//4, 4): block row, row within
+    the block, block column, pixel.  No copy; the result is in image order."""
     h, w = arr.shape
-    return arr.reshape(h // 4, 4, w // 4, 4).swapaxes(1, 2)
+    return arr.reshape(h // 4, 4, w // 4, 4)
 
 
-def _unblockify(blocks: np.ndarray) -> np.ndarray:
-    by, bx = blocks.shape[:2]
-    return blocks.swapaxes(1, 2).reshape(by * 4, bx * 4)
-
-
-def _pattern_cells(pattern, blocks_y: int, blocks_x: int) -> np.ndarray:
-    """Validate a pattern as a 4x4 cell or a full (blocks_y*4, blocks_x*4)
-    grid and return it as uint8: the cell as is, the grid blockified to
-    (blocks_y, blocks_x, 4, 4).  Either broadcasts against a blockified
-    image, so a cell is never tiled."""
+def _pattern_cells(pattern, shape: tuple) -> np.ndarray:
+    """Validate a pattern as a 4x4 cell or a full grid of the image's
+    shape and return it as uint8 in image layout.  Through _blocks either
+    broadcasts against the image, so a cell is never tiled."""
     arr = np.asarray(pattern)
-    if arr.shape == (4, 4):
+    if arr.shape == (4, 4) or arr.shape == shape:
         return as_ternary(arr)
-    if arr.shape == (blocks_y * 4, blocks_x * 4):
-        return _blockify(as_ternary(arr))
     raise ValueError(
         "watermark pattern shape %s matches neither a 4x4 cell nor the %dx%d block grid"
-        % (arr.shape, blocks_x, blocks_y)
+        % (arr.shape, shape[1] // 4, shape[0] // 4)
     )
 
 
-def _special_batch(blocks: np.ndarray) -> np.ndarray:
-    """H * A * H over a stack of 4x4 blocks, mod 3 (any leading shape).
+def _transform(a: np.ndarray) -> np.ndarray:
+    """T of every 4x4 block of an (h, w) uint8 array of digits 0..4, mod 3.
 
-    Returns uint8 values in {0, 1, 2}.  A single final reduction is exact
-    for any entries in [-255, 255]: the triple product is bounded by
-    255*2*4 * 2*4 = 16320 in magnitude, inside int16.
+    h and w are multiples of 4; the result is uint8 in {0, 1, 2}, in image
+    layout like the input.  H runs along each block row through _ROW, then
+    down the columns as the two butterfly stages of hntt.hntt_1d_fast on
+    whole row codes through _ADD and _SUB.
     """
-    return (np.matmul(np.matmul(_H, blocks.astype(np.int16, copy=False)), _H) % 3).astype(np.uint8)
-
-
-def _embed_blocks(blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Embed cells into (..., 4, 4) uint8 pixel blocks: x' = _EMBED[x, T(w)].
-
-    cells is one 4x4 cell or a stack broadcasting against blocks; T runs
-    once per cell, never on the pixels.  With one cell the gather keeps
-    the memory order of blocks, so a blockified image view comes back in
-    image order and unblockifying it copies nothing.
-    """
-    return _EMBED[blocks, _special_batch(cells)]
+    h, w = a.shape
+    rows = _ROW.take(_code(np.moveaxis(_blocks(a), 3, 0), 5))  # (h//4, 4, w//4)
+    pair01 = np.multiply(rows[:, 0], 81, dtype=np.uint16) + rows[:, 1]
+    pair23 = np.multiply(rows[:, 2], 81, dtype=np.uint16) + rows[:, 3]
+    pair02 = np.multiply(_ADD.take(pair01), 81, dtype=np.uint16) + _ADD.take(pair23)
+    pair13 = np.multiply(_SUB.take(pair01), 81, dtype=np.uint16) + _SUB.take(pair23)
+    out = np.empty_like(rows)
+    out[:, 0] = _ADD.take(pair02)
+    out[:, 1] = _SUB.take(pair02)
+    out[:, 2] = _ADD.take(pair13)
+    out[:, 3] = _SUB.take(pair13)
+    return _DIGIT_WORDS.take(out).view(np.uint8).reshape(h, w)
 
 
 def embed_image(image, pattern) -> np.ndarray:
@@ -160,8 +207,8 @@ def embed_image(image, pattern) -> np.ndarray:
     every 4x4 tile in any order.
     """
     img = check_multiple_of_4(as_gray(image), "image")
-    cells = _pattern_cells(pattern, img.shape[0] // 4, img.shape[1] // 4)
-    return _unblockify(_embed_blocks(_blockify(img), cells))
+    cells = _pattern_cells(pattern, img.shape)
+    return _EMBED[_blocks(img), _blocks(_transform(cells))].reshape(img.shape)
 
 
 def extract_image(original, suspect) -> np.ndarray:
@@ -173,9 +220,8 @@ def extract_image(original, suspect) -> np.ndarray:
             "dimension mismatch: original is %dx%d, suspect is %dx%d"
             % (orig.shape[1], orig.shape[0], susp.shape[1], susp.shape[0])
         )
-    # r_s - r_o == s - o (mod 3), so the pixel difference is transformed as is
-    diff = _blockify(susp).astype(np.int16) - _blockify(orig)
-    return _unblockify(_special_batch(diff))
+    # r_s - r_o == r_s + (-r_o) (mod 3), a digit 0..4 per pixel
+    return _transform(_RES[susp] + _NEG[orig])
 
 
 @dataclass
@@ -235,6 +281,6 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     if threshold < 0:
         raise ValueError("threshold must be >= 0, got %d" % threshold)
     extracted = extract_image(original, suspect)
-    by, bx = extracted.shape[0] // 4, extracted.shape[1] // 4
-    distances = (_blockify(extracted) != _pattern_cells(reference, by, bx)).sum(axis=(2, 3))
+    cells = _pattern_cells(reference, extracted.shape)
+    distances = (_blocks(extracted) != _blocks(cells)).sum(axis=(1, 3))
     return TamperReport(threshold=threshold, distances=distances)

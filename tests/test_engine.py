@@ -1,6 +1,7 @@
 """Parallel block engine: determinism, reference equivalence, benchmark math."""
 
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -132,6 +133,22 @@ def test_benchmark_smoke():
     assert math.isfinite(result.blocks_per_second) and result.blocks_per_second > 0
     assert result.blocks_per_second == pytest.approx(result.blocks_processed / result.elapsed_seconds)
     assert result.equivalent_frame_rate == pytest.approx(result.blocks_per_second / 256)
+
+
+def test_synthetic_frame_keeps_its_bytes_without_full_size_temporaries():
+    height, width = 300, 260  # both past 256, so the wrap mod 256 shows
+    rows = np.arange(height, dtype=np.uint32)[:, None]
+    cols = np.arange(width, dtype=np.uint32)[None, :]
+    frame = engine._synthetic_frame(width, height)
+    assert frame.dtype == np.uint8
+    assert np.array_equal(frame, ((rows * 7 + cols * 13) % 256).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        engine._synthetic_frame(1024, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_benchmark_validation():

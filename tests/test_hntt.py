@@ -7,9 +7,12 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hnttmark import hntt
-from hnttmark.watermark import _special_batch
+from hnttmark.watermark import _ADD, _DIGIT_WORDS, _DIGITS, _ROW, _SUB, _transform
 
 # Literal copy of the transform matrix so oracle arithmetic below never
 # touches the code paths under test.
@@ -194,24 +197,89 @@ def test_linearity(transform):
         assert transform(merged) == combined
 
 
+def _transform_stack(blocks):
+    """The image kernel on an (n, 4, 4) stack, passed as its (4n, 4) image."""
+    return _transform(blocks.reshape(-1, 4)).reshape(blocks.shape)
+
+
 def test_special_2d_collision_free_on_random_blocks():
-    # injectivity spot-check via hashing; the batch route is pinned to the
+    # injectivity spot-check via hashing; the image kernel is pinned to the
     # scalar route on a sample first, then drives the bulk sweep
     rng = np.random.RandomState(99)
-    blocks = rng.randint(0, 3, (100_000, 4, 4))
+    blocks = rng.randint(0, 3, (100_000, 4, 4)).astype(np.uint8)
     sample = blocks[:200]
-    batch_out = _special_batch(sample.astype(np.int16))
-    for got, src in zip(batch_out, sample):
+    for got, src in zip(_transform_stack(sample), sample):
         assert got.tolist() == hntt.special_hntt_2d(src.tolist())
-    transformed = _special_batch(blocks.astype(np.int16))
+    transformed = _transform_stack(blocks)
     seen = {}
-    for out_row, in_row in zip(
-        transformed.reshape(-1, 16).astype(np.uint8), blocks.reshape(-1, 16).astype(np.uint8)
-    ):
+    for out_row, in_row in zip(transformed.reshape(-1, 16), blocks.reshape(-1, 16)):
         key = out_row.tobytes()
         val = in_row.tobytes()
         assert seen.setdefault(key, val) == val
     assert len(seen) <= 3**16
+
+
+# ------------------------------------------------ packed-row image kernel
+
+
+def _digits_of(code, base):
+    return [code // base**3 % base, code // base**2 % base, code // base % base, code % base]
+
+
+def _code_of(digits, base):
+    return ((digits[0] * base + digits[1]) * base + digits[2]) * base + digits[3]
+
+
+def test_kernel_row_table_exhaustive():
+    # every row of digits 0..4, the range extraction feeds the kernel
+    assert _ROW.shape == (625,)
+    for code in range(625):
+        row = [d % 3 for d in _digits_of(code, 5)]
+        assert _ROW[code] == _code_of(hntt.hntt_1d(row), 3)
+
+
+def test_kernel_add_sub_tables_exhaustive():
+    assert _ADD.shape == _SUB.shape == (81 * 81,)
+    for x, y in product(range(81), repeat=2):
+        dx, dy = _digits_of(x, 3), _digits_of(y, 3)
+        assert _ADD[81 * x + y] == _code_of([(a + b) % 3 for a, b in zip(dx, dy)], 3)
+        assert _SUB[81 * x + y] == _code_of([(a - b) % 3 for a, b in zip(dx, dy)], 3)
+
+
+def test_kernel_unpacks_every_code_to_its_digits():
+    codes = np.arange(81)
+    unpacked = _DIGIT_WORDS.take(codes).view(np.uint8).reshape(81, 4)
+    for code in range(81):
+        assert unpacked[code].tolist() == _DIGITS[code].tolist() == _digits_of(code, 3)
+
+
+def _triple_product(blocks):
+    """Numpy restatement of H * A * H mod 3 over an (n, 4, 4) stack."""
+    h = np.array(H_REF)
+    return (h @ blocks.astype(np.int64) @ h) % 3
+
+
+@given(st.integers(0, 40).flatmap(lambda n: arrays(np.uint8, (n, 4, 4), elements=st.integers(0, 2))))
+def test_kernel_matches_oracles_on_ternary_stacks(blocks):
+    got = _transform_stack(blocks)
+    assert got.dtype == np.uint8 and got.shape == blocks.shape
+    assert np.array_equal(got, _triple_product(blocks))
+    for out, block in zip(got, blocks):
+        assert out.tolist() == hntt.special_hntt_2d(block.tolist())
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda s: arrays(np.uint8, (4 * s[0], 4 * s[1]), elements=st.integers(0, 4))))
+def test_kernel_matches_oracles_on_digit_images(image):
+    # image layout in and out: block (y, x) is image[4y:4y+4, 4x:4x+4]
+    got = _transform(image)
+    assert got.dtype == np.uint8 and got.shape == image.shape
+    by, bx = image.shape[0] // 4, image.shape[1] // 4
+    blocks = (image % 3).reshape(by, 4, bx, 4).swapaxes(1, 2).reshape(-1, 4, 4)
+    want = _triple_product(blocks)
+    assert np.array_equal(got.reshape(by, 4, bx, 4).swapaxes(1, 2).reshape(-1, 4, 4), want)
+    for out, block in zip(want, blocks):
+        assert out.tolist() == hntt.special_hntt_2d(block.tolist())
 
 
 def test_full_2d_examples():
