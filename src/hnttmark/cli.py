@@ -99,7 +99,7 @@ def _cmd_verify(args) -> int:
     print(report.to_text())
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            fh.write(json.dumps(report.to_dict(), separators=(",", ":")))
             fh.write("\n")
     return EXIT_TAMPERED if report.total_tampered else EXIT_OK
 

@@ -115,7 +115,11 @@ def test_verify_clean_and_tampered(tmp_path, capsys):
     assert code == EXIT_TAMPERED
     out = capsys.readouterr().out
     assert "total_tampered=1" in out
-    doc = json.loads(report_path.read_text())
+    assert "\nregion=0 x=5..5 y=2..2 blocks=1\n" in out
+    assert "block=" not in out
+    text = report_path.read_text()
+    assert ": " not in text and "\n" not in text.rstrip("\n")  # written compactly
+    doc = json.loads(text)
     assert doc["total_tampered"] == 1
     assert doc["grid_width"] == 8 and doc["grid_height"] == 8
     assert doc["tampered"][2 * 8 + 5] is True

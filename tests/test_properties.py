@@ -1,5 +1,7 @@
 """Property tests: the vectorized image and engine routes against the block oracles."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,15 @@ from hypothesis.extra.numpy import arrays
 from hnttmark import engine, hntt, watermark
 from hnttmark.engine import process_blocks
 from hnttmark.imageio import read_pgm
-from hnttmark.watermark import embed_block, embed_image, extract_block, extract_image, verify
+from hnttmark.watermark import (
+    TamperReport,
+    embed_block,
+    embed_image,
+    extract_block,
+    extract_image,
+    tamper_regions,
+    verify,
+)
 
 
 @st.composite
@@ -74,12 +84,79 @@ def test_verify_distances_match_extract_block(case, data):
     suspect = np.where(touched, noise, marked)
     report = verify(img, suspect, reference)
     assert report.distances.shape == (img.shape[0] // 4, img.shape[1] // 4)
+    assert report.distances.dtype == np.uint8
     for (y, x), block in _tiles(suspect):
         cell = reference if reference.shape == (4, 4) else reference[y : y + 4, x : x + 4]
         got = extract_block(img[y : y + 4, x : x + 4].tolist(), block.tolist())
         want = sum(a != b for got_row, ref_row in zip(got, cell.tolist()) for a, b in zip(got_row, ref_row))
         assert report.distances[y // 4, x // 4] == want
     assert np.array_equal(report.tampered, report.distances > 0)
+
+
+def _flood_regions(flags):
+    """8-neighbour breadth-first flood fill: (x0, x1, y0, y1, count) per
+    region, in the row-major order of each region's first cell."""
+    h, w = flags.shape
+    seen = set()
+    regions = []
+    for y in range(h):
+        for x in range(w):
+            if not flags[y, x] or (y, x) in seen:
+                continue
+            seen.add((y, x))
+            queue, cells = deque([(y, x)]), []
+            while queue:
+                cy, cx = queue.popleft()
+                cells.append((cy, cx))
+                for ny in range(cy - 1, cy + 2):
+                    for nx in range(cx - 1, cx + 2):
+                        if 0 <= ny < h and 0 <= nx < w and flags[ny, nx] and (ny, nx) not in seen:
+                            seen.add((ny, nx))
+                            queue.append((ny, nx))
+            ys, xs = [c[0] for c in cells], [c[1] for c in cells]
+            regions.append((min(xs), max(xs), min(ys), max(ys), len(cells)))
+    return regions
+
+
+grid_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 24)),
+    st.tuples(st.integers(1, 24), st.just(1)),
+    st.tuples(st.integers(1, 24), st.integers(1, 24)),
+)
+
+
+@given(grid_shapes.flatmap(lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 16))),
+       st.integers(0, 16))
+def test_report_regions_match_flood_fill(distances, threshold):
+    report = TamperReport(threshold=threshold, distances=distances)
+    want = _flood_regions(report.tampered)
+    assert tamper_regions(report.tampered) == want
+    assert sum(region[4] for region in want) == report.total_tampered
+    lines = report.to_text().splitlines()
+    assert lines[4] == "regions=%d" % len(want)
+    assert lines[5:-1] == ["region=%d x=%d..%d y=%d..%d blocks=%d" % ((i,) + r) for i, r in enumerate(want)]
+    key, _, counts = lines[-1].partition("=")
+    histogram = [int(c) for c in counts.split()]
+    assert key == "distance_histogram" and len(histogram) == 17
+    assert histogram == [int((distances == d).sum()) for d in range(17)]
+    assert sum(histogram) == distances.size
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        (np.zeros((3, 5), bool), []),
+        (np.ones((3, 5), bool), [(0, 4, 0, 2, 15)]),
+        (np.array([[0, 0, 0, 1]], bool), [(3, 3, 0, 0, 1)]),
+        (np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], bool), [(0, 0, 2, 2, 1)]),
+        (np.array([[0, 1, 0], [1, 0, 0]], bool), [(0, 1, 0, 1, 2)]),
+        (np.array([[1, 0, 0], [0, 1, 0]], bool), [(0, 1, 0, 1, 2)]),
+        (np.array([[1, 0, 0, 0, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 1]], bool), [(0, 4, 0, 2, 9)]),
+    ],
+    ids=["none", "all", "lone-corner-1xN", "lone-corner", "anti-diagonal-pair", "diagonal-pair", "u-shape"],
+)
+def test_tamper_regions_explicit_cases(flags, want):
+    assert tamper_regions(flags) == want
 
 
 def test_production_routes_never_call_the_block_oracles(monkeypatch):

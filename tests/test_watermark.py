@@ -323,6 +323,8 @@ def test_report_serialization():
     lines = text.splitlines()
     assert lines[0] == "grid_width=2"
     assert lines[3] == "total_tampered=2"
-    assert lines[4] == "block=0 distance=0 tampered=0"
-    assert lines[5] == "block=1 distance=3 tampered=1"
-    assert len(lines) == 8
+    # blocks (1, 0) and (0, 1) touch diagonally: one region
+    assert lines[4] == "regions=1"
+    assert lines[5] == "region=0 x=0..1 y=0..1 blocks=2"
+    assert lines[6] == "distance_histogram=2 0 0 1" + " 0" * 12 + " 1"
+    assert len(lines) == 7
