@@ -12,14 +12,12 @@ reported.
 """
 
 import dataclasses
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .imageio import as_pixels, as_ternary
-from .watermark import _EMBED, _transform, checkerboard_cell
+from .watermark import _BAND_PIXELS, _embed_into, _run_bands, _transform, checkerboard_cell
 
 
 def _as_block_stack(blocks) -> np.ndarray:
@@ -45,12 +43,13 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     """Embed a watermark into every 4x4 block, fanning out over workers.
 
     The output is identical to sequential per-block embedding regardless
-    of worker count; the blocks are cut into `workers` disjoint contiguous
-    slices, each run with the same transform kernel and embed table as
-    watermark.embed_image on a pool of at most os.cpu_count() threads.
-    The stack (n, 4, 4) is the (4n, 4) image the kernel works on.  A
-    single cell is transformed once before the fan-out; one cell per
-    block is transformed slice by slice.
+    of worker count.  The blocks are cut into `workers` disjoint
+    contiguous slices, run by watermark's banded driver on a pool of at
+    most os.cpu_count() threads; each slice works through cache-sized
+    chunks with the same transform kernel and flat embed gather as
+    watermark.embed_image.  The stack (n, 4, 4) is the (4n, 4) image the
+    kernel works on.  A single cell is transformed once before the
+    fan-out; one cell per block is transformed chunk by chunk.
     Accepts a list of 4x4 blocks or an (n, 4, 4) array; the pattern is a
     single cell applied to all blocks, or one cell per block.
     """
@@ -59,29 +58,16 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     stack = _as_block_stack(blocks)
     n = stack.shape[0]
     cells = _as_cells(pattern, n)
-    if n == 0:
-        return stack.copy()
+    out = np.empty((n, 4, 4), dtype=np.uint8)
     single = cells.ndim == 2
-    if single:
-        cells = _transform(cells)  # once, before the fan-out
+    if single:  # once, before the fan-out, tiled to one chunk
+        cells = np.tile(_transform(cells), (min(n, _BAND_PIXELS // 16), 1, 1))
 
-    def embed(lo: int, hi: int) -> np.ndarray:
-        transformed = cells if single else _transform(cells[lo:hi].reshape(-1, 4)).reshape(-1, 4, 4)
-        return _EMBED[stack[lo:hi], transformed]
+    def chunk(lo: int, hi: int) -> None:
+        t = cells[: hi - lo] if single else _transform(cells[lo:hi].reshape(-1, 4)).reshape(-1, 4, 4)
+        _embed_into(out[lo:hi], stack[lo:hi], t)
 
-    if workers == 1 or n < 2 * workers:
-        return embed(0, n)
-
-    out = np.empty_like(stack)
-    bounds = [(i * n) // workers for i in range(workers + 1)]
-
-    def run(lo: int, hi: int) -> None:
-        out[lo:hi] = embed(lo, hi)
-
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(run, bounds[i], bounds[i + 1]) for i in range(workers)]
-        for future in futures:
-            future.result()
+    _run_bands(chunk, n, 16, workers if n >= 2 * workers else 1)
     return out
 
 

@@ -147,11 +147,16 @@ def read_pgm(data: bytes) -> np.ndarray:
     return np.array(values, dtype=np.uint8).reshape(height, width)
 
 
-def write_pgm(image) -> bytes:
-    """Serialize an image as binary PGM (P5, maxval 255)."""
+def _pgm_parts(image) -> tuple[bytes, np.ndarray]:
+    """The P5 header and the C-ordered raster of a grayscale image."""
     img = as_gray(image)
     height, width = img.shape
-    return b"".join((b"P5\n%d %d\n255\n" % (width, height), np.ascontiguousarray(img)))
+    return b"P5\n%d %d\n255\n" % (width, height), np.ascontiguousarray(img)
+
+
+def write_pgm(image) -> bytes:
+    """Serialize an image as binary PGM (P5, maxval 255)."""
+    return b"".join(_pgm_parts(image))
 
 
 def read_watermark(data: bytes) -> np.ndarray:
@@ -179,8 +184,10 @@ def load_pgm(path) -> np.ndarray:
 
 
 def save_pgm(path, image) -> None:
+    header, raster = _pgm_parts(image)  # written as is: no joined copy of the raster
     with open(path, "wb") as fh:
-        fh.write(write_pgm(image))
+        fh.write(header)
+        fh.write(raster)
 
 
 def load_watermark(path) -> np.ndarray:

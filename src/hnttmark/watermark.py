@@ -16,11 +16,21 @@ result with those identities:
     extract  w = T(r_s - r_o) mod 3
 
 Embedding needs no transform of the image at all: T(w) is computed once
-per pattern, and each pixel becomes one lookup in a 768-entry table
-indexed by (x, T(w)).  Extraction transforms one difference instead of
-two images.  Arithmetic is exact, hence embed-then-extract returns w
-exactly and any residue change anywhere in a block damages that block's
-extracted cell.
+per cell (band by band for a full grid), and each pixel becomes one
+gather from the flat 768-entry table _EMBED at 3*x + T(w).  Extraction
+transforms one difference instead of two images, reading residues two
+pixels at a time: the 65536-entry pair tables map two pixels viewed as
+one uint16 to their two residues (or negated residues) as two bytes.
+Arithmetic is exact, hence embed-then-extract returns w exactly and any
+residue change anywhere in a block damages that block's extracted cell.
+
+Every image route, and engine.process_blocks, runs through one driver,
+_run_bands.  It cuts the work into contiguous bands of whole block rows,
+about _BAND_PIXELS pixels each so that a band's temporaries stay in
+cache, and runs them on min(os.cpu_count(), bands) threads; one band
+runs inline.  numpy releases the interpreter lock in the gathers and the
+arithmetic, so bands overlap.  verify counts each band's distances
+straight into the grid and never builds the extracted image.
 
 Every image route runs T through one kernel, _transform, which performs
 the paper's butterflies as table lookups on packed rows.  It works on an
@@ -51,7 +61,9 @@ image-level functions vectorize the same math with numpy and must match
 the block route bit for bit (the test suite holds them to that).
 """
 
+import os
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +75,34 @@ from .imageio import as_gray, as_ternary, check_multiple_of_4
 RESIDUE_TABLE = tuple(v % 3 for v in range(256))
 DIVISIBLE_TABLE = tuple(min(v - v % 3, 252) for v in range(256))
 
-# Marked pixel value by (pixel x, transformed watermark entry t):
-# _EMBED[x, t] = d(x) + (r(x) + t) mod 3, entry 3*x + t of 768 bytes.
+# Marked pixel value by pixel x and transformed watermark entry t, flat:
+# _EMBED[3*x + t] = d(x) + (r(x) + t) mod 3.
 _EMBED = np.array(
     [[d + (r + t) % 3 for t in range(3)] for r, d in zip(RESIDUE_TABLE, DIVISIBLE_TABLE)],
     dtype=np.uint8,
-)
+).ravel()
 _RES = np.array(RESIDUE_TABLE, dtype=np.uint8)
-_NEG = (3 - _RES) % 3  # -x mod 3
+
+
+def _pair_table(table: np.ndarray) -> np.ndarray:
+    """A 256-entry byte table applied to both bytes of a uint16: entry v
+    holds table[b0], table[b1] for the bytes b0, b1 of v in memory order.
+    Built by broadcasting, with v = 256*i + j at [i, j]; the low byte j
+    comes first in memory on little-endian hosts."""
+    out = np.empty((256, 256, 2), dtype=np.uint8)
+    low, high = (0, 1) if np.little_endian else (1, 0)
+    out[..., low] = table
+    out[..., high] = table[:, None]
+    return out.view(np.uint16).ravel()
+
+
+# Pair tables: two pixels read as one uint16 -> their two residues, or
+# their residues negated mod 3.
+_RES_PAIR = _pair_table(_RES)
+_NEG_PAIR = _pair_table((3 - _RES) % 3)
+
+# Pixels per band of _run_bands: a band's temporaries stay in cache.
+_BAND_PIXELS = 1 << 18
 
 
 def _code(digits, base: int):
@@ -167,14 +199,13 @@ def _blocks(arr: np.ndarray) -> np.ndarray:
 
 def _pattern_cells(pattern, shape: tuple) -> np.ndarray:
     """Validate a pattern as a 4x4 cell or a full grid of the image's
-    shape and return it as uint8 in image layout.  Through _blocks either
-    broadcasts against the image, so a cell is never tiled."""
+    shape and return it as uint8 in image layout."""
     arr = np.asarray(pattern)
     if arr.shape == (4, 4) or arr.shape == shape:
         return as_ternary(arr)
     raise ValueError(
-        "watermark pattern shape %s matches neither a 4x4 cell nor the %dx%d block grid"
-        % (arr.shape, shape[1] // 4, shape[0] // 4)
+        "watermark pattern must be a 4x4 cell or %dx%d like the image, got shape %s"
+        % (shape[1], shape[0], arr.shape)
     )
 
 
@@ -200,6 +231,39 @@ def _transform(a: np.ndarray) -> np.ndarray:
     return _DIGIT_WORDS.take(out).view(np.uint8).reshape(h, w)
 
 
+def _run_bands(work, rows: int, row_pixels: int, slices: int = 0) -> None:
+    """Call work(lo, hi) over [0, rows) in contiguous bands of whole rows,
+    each at most max(1, _BAND_PIXELS // row_pixels) rows.
+
+    The rows are cut into `slices` contiguous slices, each working through
+    its bands in order; slices=0 makes every band its own slice.  A single
+    slice runs inline, more run on a pool of at most os.cpu_count()
+    threads.  An exception raised in a band propagates unchanged.
+    """
+    step = max(1, _BAND_PIXELS // row_pixels)
+    slices = slices or -(-rows // step)
+
+    def run(lo: int, hi: int) -> None:
+        for start in range(lo, hi, step):
+            work(start, min(start + step, hi))
+
+    if slices == 1:
+        return run(0, rows)
+    bounds = [(i * rows) // slices for i in range(slices + 1)]
+    with ThreadPoolExecutor(max_workers=min(slices, os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(run, bounds[i], bounds[i + 1]) for i in range(slices)]
+        for future in futures:
+            future.result()
+
+
+def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
+    """out = d(x) + (r(x) + t) mod 3 for pixels x and transformed cells t
+    that broadcast against x: one flat _EMBED gather at 3*x + t."""
+    index = np.multiply(x, 3, dtype=np.uint16)
+    index += t
+    _EMBED.take(index, out=out, mode="clip")
+
+
 def embed_image(image, pattern) -> np.ndarray:
     """Embed a watermark pattern blockwise into a whole image.
 
@@ -208,11 +272,20 @@ def embed_image(image, pattern) -> np.ndarray:
     """
     img = check_multiple_of_4(as_gray(image), "image")
     cells = _pattern_cells(pattern, img.shape)
-    return _EMBED[_blocks(img), _blocks(_transform(cells))].reshape(img.shape)
+    h, w = img.shape
+    out = np.empty((h, w), dtype=np.uint8)
+    cell = np.tile(_transform(cells), w // 4) if cells.shape == (4, 4) else None
+
+    def band(lo: int, hi: int) -> None:
+        rows = slice(4 * lo, 4 * hi)
+        t = cell if cell is not None else _transform(cells[rows])
+        _embed_into(out[rows].reshape(-1, 4, w), img[rows].reshape(-1, 4, w), t.reshape(-1, 4, w))
+
+    _run_bands(band, h // 4, 4 * w)
+    return out
 
 
-def extract_image(original, suspect) -> np.ndarray:
-    """Extract the full-grid watermark pattern from an image pair."""
+def _image_pair(original, suspect) -> tuple[np.ndarray, np.ndarray]:
     orig = check_multiple_of_4(as_gray(original), "original")
     susp = check_multiple_of_4(as_gray(suspect), "suspect")
     if orig.shape != susp.shape:
@@ -220,8 +293,34 @@ def extract_image(original, suspect) -> np.ndarray:
             "dimension mismatch: original is %dx%d, suspect is %dx%d"
             % (orig.shape[1], orig.shape[0], susp.shape[1], susp.shape[0])
         )
-    # r_s - r_o == r_s + (-r_o) (mod 3), a digit 0..4 per pixel
-    return _transform(_RES[susp] + _NEG[orig])
+    return orig, susp
+
+
+def _extract_rows(orig: np.ndarray, susp: np.ndarray) -> np.ndarray:
+    """The extracted pattern of a band of whole block rows.
+
+    The residues are read two pixels at a time through the pair tables,
+    whose uint16 view needs a C-contiguous band (others are copied);
+    r_s - r_o == r_s + (-r_o) (mod 3) is a digit 0..4 per byte, so the
+    byte pairs add without carry.
+    """
+    digits = _RES_PAIR.take(np.ascontiguousarray(susp).view(np.uint16))
+    digits += _NEG_PAIR.take(np.ascontiguousarray(orig).view(np.uint16))
+    return _transform(digits.view(np.uint8))
+
+
+def extract_image(original, suspect) -> np.ndarray:
+    """Extract the full-grid watermark pattern from an image pair."""
+    orig, susp = _image_pair(original, suspect)
+    h, w = orig.shape
+    out = np.empty((h, w), dtype=np.uint8)
+
+    def band(lo: int, hi: int) -> None:
+        rows = slice(4 * lo, 4 * hi)
+        out[rows] = _extract_rows(orig[rows], susp[rows])
+
+    _run_bands(band, h // 4, 4 * w)
+    return out
 
 
 def tamper_regions(flags: np.ndarray) -> list[tuple[int, int, int, int, int]]:
@@ -340,11 +439,20 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0, got %d" % threshold)
-    extracted = extract_image(original, suspect)
-    cells = _pattern_cells(reference, extracted.shape)
-    # Count in uint8 (at most 16 per block): add the 4 rows of each block,
-    # then its 4 columns.  Far cheaper than a strided int64 sum.
-    diff = (_blocks(extracted) != _blocks(cells)).view(np.uint8)
-    rows = diff[:, 0] + diff[:, 1] + diff[:, 2] + diff[:, 3]
-    distances = rows[..., 0] + rows[..., 1] + rows[..., 2] + rows[..., 3]
+    orig, susp = _image_pair(original, suspect)
+    cells = _pattern_cells(reference, orig.shape)
+    h, w = orig.shape
+    distances = np.empty((h // 4, w // 4), dtype=np.uint8)
+    cell = np.tile(cells, w // 4) if cells.shape == (4, 4) else None
+
+    def band(lo: int, hi: int) -> None:
+        rows = slice(4 * lo, 4 * hi)
+        ref = cell if cell is not None else cells[rows]
+        # Count in uint8 (at most 16 per block): add the 4 rows of each
+        # block, then its 4 columns.  Far cheaper than a strided int64 sum.
+        diff = (_extract_rows(orig[rows], susp[rows]).reshape(-1, 4, w) != ref.reshape(-1, 4, w)).view(np.uint8)
+        cols = (diff[:, 0] + diff[:, 1] + diff[:, 2] + diff[:, 3]).reshape(-1, w // 4, 4)
+        np.add(cols[..., 0] + cols[..., 1], cols[..., 2] + cols[..., 3], out=distances[lo:hi])
+
+    _run_bands(band, h // 4, 4 * w)
     return TamperReport(threshold=threshold, distances=distances)

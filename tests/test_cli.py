@@ -126,6 +126,21 @@ def test_verify_clean_and_tampered(tmp_path, capsys):
     assert sum(doc["tampered"]) == 1
 
 
+def test_an_error_in_a_band_exits_1_with_one_line(tmp_path, capsys, failing_bands):
+    original = tmp_path / "orig.pgm"
+    grid = tmp_path / "grid.pgm"
+    _make_image(original, seed=4)
+    imageio.save_watermark(grid, np.random.RandomState(5).randint(0, 3, (32, 32), dtype=np.uint8))
+    for argv in (
+        ["embed", "--input", str(original), "--output", str(tmp_path / "marked.pgm"), "--watermark", str(grid)],
+        ["verify", "--original", str(original), "--suspect", str(original)],
+    ):
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: band out of memory\n"
+        assert captured.out == ""
+
+
 def test_verify_threshold_suppresses_flags(tmp_path):
     original = tmp_path / "orig.pgm"
     _make_image(original, seed=4)

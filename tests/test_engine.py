@@ -2,12 +2,11 @@
 
 import math
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from hnttmark import engine
+from hnttmark import engine, watermark
 from hnttmark.engine import (
     BenchResult,
     benchmark,
@@ -60,37 +59,18 @@ def test_worker_count_never_changes_output():
         assert np.array_equal(process_blocks(blocks, cells, workers=workers), baseline)
 
 
-def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
-    # an inline pool records its size and runs each slice at submit, so no
-    # thread starts
-    pool_sizes, slices = [], []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            slices.append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", InlinePool)
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch, inline_pool):
+    pool_sizes, slices = inline_pool
     blocks = _blocks(1000, seed=12)
     cells = _cells(1000, seed=13)
     baseline = process_blocks(blocks, cells, workers=1)
     for cpus, workers, pool_size in ((3, 50, 3), (3, 2, 2), (None, 8, 1)):
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(watermark.os, "cpu_count", lambda: cpus)
         slices.clear()
         assert np.array_equal(process_blocks(blocks, cells, workers=workers), baseline)
         assert pool_sizes[-1] == pool_size
         assert len(slices) == workers
+        assert slices == [((i * 1000) // workers, ((i + 1) * 1000) // workers) for i in range(workers)]
     assert len(pool_sizes) == 3
 
 

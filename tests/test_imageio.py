@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hnttmark.imageio import pad_to_multiple, read_pgm, read_watermark, write_pgm, write_watermark
+from hnttmark.imageio import pad_to_multiple, read_pgm, read_watermark, save_pgm, write_pgm, write_watermark
 from hnttmark.watermark import checkerboard_cell, embed_image, extract_image, verify
 
 
@@ -16,6 +16,14 @@ def test_round_trip_random_images():
     for _ in range(100):
         img = rng.randint(0, 256, (64, 64), dtype=np.uint8)
         assert np.array_equal(read_pgm(write_pgm(img)), img)
+
+
+def test_save_pgm_writes_the_bytes_of_write_pgm(tmp_path):
+    img = np.random.RandomState(9).randint(0, 256, (6, 10), dtype=np.uint8)
+    path = tmp_path / "img.pgm"
+    for view in (img, np.asfortranarray(img), np.ascontiguousarray(img.T).T, np.repeat(img, 2, axis=1)[:, ::2]):
+        save_pgm(path, view)
+        assert path.read_bytes() == write_pgm(img)
 
 
 def test_round_trip_odd_shapes():

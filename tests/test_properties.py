@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,9 +23,9 @@ from hnttmark.watermark import (
 
 
 @st.composite
-def images(draw):
+def images(draw, block_rows=4):
     """A small image, multiple-of-4 sized, with some pixels forced to 253-255."""
-    by = draw(st.integers(1, 4))
+    by = draw(st.integers(1, block_rows))
     bx = draw(st.integers(1, 4))
     img = draw(arrays(np.uint8, (by * 4, bx * 4)))
     high = draw(arrays(np.bool_, img.shape))
@@ -45,8 +45,8 @@ def _tiles(arr):
 
 
 @st.composite
-def image_and_pattern(draw):
-    img = draw(images())
+def image_and_pattern(draw, block_rows=4):
+    img = draw(images(block_rows))
     shape = draw(st.sampled_from([(4, 4), img.shape]))
     return img, draw(ternary(shape))
 
@@ -91,6 +91,45 @@ def test_verify_distances_match_extract_block(case, data):
         want = sum(a != b for got_row, ref_row in zip(got, cell.tolist()) for a, b in zip(got_row, ref_row))
         assert report.distances[y // 4, x // 4] == want
     assert np.array_equal(report.tampered, report.distances > 0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # the patches suit every example
+@given(image_and_pattern(block_rows=8), st.data())
+def test_banded_routes_match_the_block_oracles(monkeypatch, inline_pool, cpus, case, data):
+    # one block row per band, so an image of n block rows runs as n bands
+    monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: cpus)
+    pool_sizes, bands = inline_pool
+    pool_sizes.clear()
+    bands.clear()
+    img, pattern = case
+    marked = embed_image(img, pattern)
+    touched = data.draw(arrays(np.bool_, img.shape))
+    suspect = np.where(touched, data.draw(arrays(np.uint8, img.shape)), marked)
+    extracted = extract_image(img, suspect)
+    report = verify(img, suspect, pattern)
+    block_rows = img.shape[0] // 4
+    if block_rows == 1:  # a single band runs inline
+        assert pool_sizes == [] and bands == []
+    else:
+        assert pool_sizes == [min(cpus, block_rows)] * 3
+        assert bands == [(i, i + 1) for i in range(block_rows)] * 3
+    stack, cells = [], []
+    for (y, x), block in _tiles(img):
+        cell = pattern if pattern.shape == (4, 4) else pattern[y : y + 4, x : x + 4]
+        assert marked[y : y + 4, x : x + 4].tolist() == embed_block(block.tolist(), cell.tolist())
+        got = extract_block(block.tolist(), suspect[y : y + 4, x : x + 4].tolist())
+        assert extracted[y : y + 4, x : x + 4].tolist() == got
+        assert report.distances[y // 4, x // 4] == (np.array(got) != cell).sum()
+        stack.append(block)
+        cells.append(cell)
+    # the engine's slices then work through one-block chunks
+    blocks = np.array(stack)
+    want = np.array([marked[y : y + 4, x : x + 4] for (y, x), _ in _tiles(img)])
+    assert np.array_equal(process_blocks(blocks, np.array(cells), cpus), want)
+    if pattern.shape == (4, 4):
+        assert np.array_equal(process_blocks(blocks, pattern, cpus), want)
 
 
 def _flood_regions(flags):

@@ -2,10 +2,13 @@
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
+from hnttmark import watermark
+from hnttmark.engine import process_blocks
 from hnttmark.watermark import (
     DIVISIBLE_TABLE,
     RESIDUE_TABLE,
@@ -234,6 +237,55 @@ def test_dimension_validation():
         extract_image(img, np.zeros((8, 12), dtype=np.uint8))
 
 
+def _layouts(a):
+    """Views holding a's values that are not C-contiguous: Fortran-ordered,
+    transposed, and strided along the last axis."""
+    return [np.asfortranarray(a), np.ascontiguousarray(a.T).T, np.repeat(a, 2, axis=-1)[..., ::2]]
+
+
+def test_non_contiguous_inputs_match_their_contiguous_copies(monkeypatch):
+    monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)  # one band per block row
+    rng = np.random.RandomState(21)
+    img = rng.randint(0, 256, (24, 16), dtype=np.uint8)
+    cell = rng.randint(0, 3, (4, 4), dtype=np.uint8)
+    grid = rng.randint(0, 3, img.shape, dtype=np.uint8)
+    suspect = embed_image(img, cell) ^ (rng.rand(*img.shape) < 0.1).astype(np.uint8)
+    stack = rng.randint(0, 256, (40, 4, 4), dtype=np.uint8)
+    cells = rng.randint(0, 3, stack.shape, dtype=np.uint8)
+    routes = [
+        lambda i, s, g: embed_image(i, cell),
+        lambda i, s, g: embed_image(i, g),
+        lambda i, s, g: extract_image(i, s),
+        lambda i, s, g: verify(i, s, cell).distances,
+        lambda i, s, g: verify(i, s, g).distances,
+    ]
+    for route in routes:
+        want = route(img, suspect, grid)
+        for views in zip(_layouts(img), _layouts(suspect), _layouts(grid)):
+            assert not any(v.flags.c_contiguous for v in views)
+            assert np.array_equal(route(*views), want)
+    for workers in (1, 2):
+        for pattern in (cell, cells):
+            want = process_blocks(stack, pattern, workers)
+            for blocks, pattern_view in zip(_layouts(stack), _layouts(pattern)):
+                assert np.array_equal(process_blocks(blocks, pattern_view, workers), want)
+
+
+def test_an_error_in_a_band_surfaces_unchanged(failing_bands):
+    rng = np.random.RandomState(22)
+    img = rng.randint(0, 256, (16, 8), dtype=np.uint8)
+    grid = rng.randint(0, 3, img.shape, dtype=np.uint8)
+    for route in (
+        lambda: embed_image(img, grid),
+        lambda: extract_image(img, img),
+        lambda: verify(img, img, checkerboard_cell()),
+        lambda: process_blocks(np.zeros((8, 4, 4), dtype=np.uint8), np.zeros((8, 4, 4), dtype=np.uint8), 2),
+    ):
+        with pytest.raises(MemoryError) as info:
+            route()
+        assert info.value is failing_bands
+
+
 # ----------------------------------------------------------------- pattern
 
 
@@ -252,9 +304,11 @@ def test_pattern_shapes():
         assert report.distances.shape == (3, 2)
         assert (report.distances == (full != want).reshape(3, 4, 2, 4).sum(axis=(1, 3))).all()
     for bad in (np.zeros((8, 8), dtype=np.uint8), np.zeros((12, 4), dtype=np.uint8), np.zeros(16, dtype=np.uint8)):
-        with pytest.raises(ValueError, match="matches neither a 4x4 cell nor the 2x3 block grid"):
+        # the 8x12 image needs an 8x12 (width x height) grid, not its 2x3 blocks
+        message = re.escape("watermark pattern must be a 4x4 cell or 8x12 like the image, got shape %s" % (bad.shape,))
+        with pytest.raises(ValueError, match=message):
             embed_image(img, bad)
-        with pytest.raises(ValueError, match="matches neither a 4x4 cell nor the 2x3 block grid"):
+        with pytest.raises(ValueError, match=message):
             verify(img, marked, bad)
     for bad_values in (np.full((4, 4), 3, dtype=np.uint8), np.full((12, 8), 3, dtype=np.uint8)):
         with pytest.raises(ValueError, match="watermark values must be in"):
