@@ -7,7 +7,6 @@ prints.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -98,9 +97,8 @@ def _cmd_verify(args) -> int:
     report = watermark.verify(original, suspect, _load_pattern(args), args.threshold)
     print(report.to_text())
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(report.to_dict(), separators=(",", ":")))
-            fh.write("\n")
+        with open(args.report, "wb") as fh:
+            fh.write(report.to_json() + b"\n")
     return EXIT_TAMPERED if report.total_tampered else EXIT_OK
 
 
@@ -135,6 +133,8 @@ def _cmd_attack(args) -> int:
 def _cmd_bench(args) -> int:
     result = engine.benchmark(args.width, args.height, args.iters, args.workers)
     if args.json:
+        import json  # only here, so that the other commands do not load it
+
         print(json.dumps(result.as_dict(), indent=2))
     else:
         print(result)

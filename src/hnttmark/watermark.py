@@ -139,6 +139,19 @@ _ROW = _row_table()
 _ADD = _code((_D3[:, :, None] + _D3[:, None]) % 3, 3).astype(np.uint8).ravel()
 _SUB = _code((_D3[:, :, None] + 3 - _D3[:, None]) % 3, 3).astype(np.uint8).ravel()
 
+
+def _word_table(texts, dtype) -> np.ndarray:
+    """Each text plus a comma, NUL-padded to one word of dtype: a gather
+    from the table with the NULs dropped is a JSON list's items, each
+    followed by a comma."""
+    size = np.dtype(dtype).itemsize
+    return np.frombuffer(b"".join((t + ",").encode().ljust(size, b"\0") for t in texts), dtype=dtype)
+
+
+# Report JSON tables: a distance 0..16 and a verdict as list items.
+_DISTANCE_WORDS = _word_table([str(d) for d in range(17)], np.uint32)
+_VERDICT_WORDS = _word_table(["false", "true"], np.uint64)
+
 ResidueDecomposition = namedtuple("ResidueDecomposition", ["residue", "divisible"])
 
 
@@ -379,8 +392,9 @@ class TamperReport:
     to_text is the summary: the grid size, threshold and tampered count,
     then the tampered regions (8-connected groups of flagged blocks) as
     inclusive block bounding boxes, then the histogram of distances 0..16.
-    Block (x, y) covers pixel columns 4x..4x+3 and rows 4y..4y+3.  to_dict
-    is the full per-block dump that `verify --report` writes.
+    Block (x, y) covers pixel columns 4x..4x+3 and rows 4y..4y+3.  to_json
+    is the full per-block dump that `verify --report` writes, as compact
+    ASCII JSON; to_dict is the same document as a dict.
     """
 
     threshold: int
@@ -412,6 +426,25 @@ class TamperReport:
             "tampered": self.tampered.ravel().tolist(),
             "total_tampered": self.total_tampered,
         }
+
+    def to_json(self) -> bytes:
+        """to_dict encoded as compact JSON, byte for byte what json.dumps
+        with separators (",", ":") gives, without building Python lists:
+        each list is one gather from a word table with the NULs dropped."""
+        flat = self.distances.ravel()
+        if flat.size and (flat.min() < 0 or flat.max() > 16):
+            raise ValueError("distances must be in 0..16, got %d..%d" % (flat.min(), flat.max()))
+        flags = flat > self.threshold
+        distances = _DISTANCE_WORDS.take(flat).tobytes().translate(None, b"\0")
+        tampered = _VERDICT_WORDS.take(flags).tobytes().translate(None, b"\0")
+        return b"".join([
+            b'{"grid_width":%d,"grid_height":%d,"threshold":%d,"distances":['
+            % (self.grid_width, self.grid_height, self.threshold),
+            memoryview(distances)[:-1],
+            b'],"tampered":[',
+            memoryview(tampered)[:-1],
+            b'],"total_tampered":%d}' % np.count_nonzero(flags),
+        ])
 
     def to_text(self) -> str:
         regions = tamper_regions(self.tampered)

@@ -120,6 +120,8 @@ def test_verify_clean_and_tampered(tmp_path, capsys):
     text = report_path.read_text()
     assert ": " not in text and "\n" not in text.rstrip("\n")  # written compactly
     doc = json.loads(text)
+    want = hnttmark.verify(imageio.load_pgm(original), img, checkerboard_cell()).to_dict()
+    assert report_path.read_bytes() == (json.dumps(want, separators=(",", ":")) + "\n").encode()
     assert doc["total_tampered"] == 1
     assert doc["grid_width"] == 8 and doc["grid_height"] == 8
     assert doc["tampered"][2 * 8 + 5] is True

@@ -1,5 +1,6 @@
 """Property tests: the vectorized image and engine routes against the block oracles."""
 
+import json
 from collections import deque
 
 import numpy as np
@@ -179,6 +180,7 @@ def test_report_regions_match_flood_fill(distances, threshold):
     assert key == "distance_histogram" and len(histogram) == 17
     assert histogram == [int((distances == d).sum()) for d in range(17)]
     assert sum(histogram) == distances.size
+    assert report.to_json() == json.dumps(report.to_dict(), separators=(",", ":")).encode()
 
 
 @pytest.mark.parametrize(

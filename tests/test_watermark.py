@@ -372,7 +372,7 @@ def test_report_serialization():
     assert d["distances"] == [0, 3, 16, 0]
     assert d["tampered"] == [False, True, True, False]
     assert d["total_tampered"] == 2
-    json.dumps(d)  # must be JSON-clean (no numpy scalars)
+    assert report.to_json() == json.dumps(d, separators=(",", ":")).encode()  # also JSON-clean
     text = report.to_text()
     lines = text.splitlines()
     assert lines[0] == "grid_width=2"
@@ -382,3 +382,12 @@ def test_report_serialization():
     assert lines[5] == "region=0 x=0..1 y=0..1 blocks=2"
     assert lines[6] == "distance_histogram=2 0 0 1" + " 0" * 12 + " 1"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("bad, dtype", [(-1, np.int64), (17, np.int64), (17, np.uint8)],
+                         ids=["negative", "above-16", "above-16-uint8"])
+def test_report_json_rejects_distances_outside_0_16(bad, dtype):
+    # np.take would wrap -1 into the word table, so the range is checked first.
+    report = TamperReport(threshold=0, distances=np.array([[0, 3], [bad, 16]], dtype=dtype))
+    with pytest.raises(ValueError, match=r"distances must be in 0\.\.16, got -?\d+\.\.\d+"):
+        report.to_json()
