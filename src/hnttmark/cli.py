@@ -141,44 +141,39 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hnttmark", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("params", help="print transform parameters, cas table and matrix")
-    p.set_defaults(func=_cmd_params)
-
-    p = sub.add_parser("transform", help="transform a 4x4 GF(3) block read as 16 integers on stdin")
-    p.add_argument("--inverse", action="store_true", help="apply the inverse transform (same matrix)")
-    p.add_argument("--full", action="store_true", help="apply the full 2-D transform instead of the separable one")
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("embed", help="embed a watermark into a PGM image")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+def _pattern_arguments(p) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--watermark", help="ternary watermark PGM (4x4 cell or full grid)")
     group.add_argument("--pattern", choices=["checker"], help="use the built-in checkerboard cell")
-    p.add_argument("--pad", action="store_true", help="edge-pad to multiple-of-4 dimensions first")
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("extract", help="extract the embedded watermark from an image pair")
+
+def _transform_arguments(p) -> None:
+    p.add_argument("--inverse", action="store_true", help="apply the inverse transform (same matrix)")
+    p.add_argument("--full", action="store_true", help="apply the full 2-D transform instead of the separable one")
+
+
+def _embed_arguments(p) -> None:
+    p.add_argument("--input", required=True)
+    p.add_argument("--output", required=True)
+    _pattern_arguments(p)
+    p.add_argument("--pad", action="store_true", help="edge-pad to multiple-of-4 dimensions first")
+
+
+def _extract_arguments(p) -> None:
     p.add_argument("--original", required=True)
     p.add_argument("--suspect", required=True)
     p.add_argument("--output", required=True, help="where to write the extracted pattern PGM")
-    p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("verify", help="flag tampered 4x4 blocks against a reference watermark")
+
+def _verify_arguments(p) -> None:
     p.add_argument("--original", required=True)
     p.add_argument("--suspect", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--watermark", help="ternary watermark PGM (4x4 cell or full grid)")
-    group.add_argument("--pattern", choices=["checker"], help="use the built-in checkerboard cell")
+    _pattern_arguments(p)
     p.add_argument("--threshold", type=int, default=0, help="flag blocks with distance > K (default 0)")
     p.add_argument("--report", help="also write the report as JSON to this path")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("attack", help="apply a deterministic tamper simulation")
+
+def _attack_arguments(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--type", required=True, choices=list(attacks.ATTACK_KINDS))
@@ -188,21 +183,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", help="region_replace rectangle X,Y,W,H")
     p.add_argument("--source", help="region_replace replacement PGM (same size as rect)")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p.set_defaults(func=_cmd_attack)
 
-    p = sub.add_parser("bench", help="measure embedding throughput")
+
+def _bench_arguments(p) -> None:
     p.add_argument("--width", type=int, default=1024)
     p.add_argument("--height", type=int, default=1024)
     p.add_argument("--iters", type=int, default=5)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true", help="print the result as JSON")
-    p.set_defaults(func=_cmd_bench)
 
+
+# Each command's help line, handler and argument builder, in listing order.
+_COMMANDS = {
+    "params": ("print transform parameters, cas table and matrix", _cmd_params, None),
+    "transform": ("transform a 4x4 GF(3) block read as 16 integers on stdin", _cmd_transform, _transform_arguments),
+    "embed": ("embed a watermark into a PGM image", _cmd_embed, _embed_arguments),
+    "extract": ("extract the embedded watermark from an image pair", _cmd_extract, _extract_arguments),
+    "verify": ("flag tampered 4x4 blocks against a reference watermark", _cmd_verify, _verify_arguments),
+    "attack": ("apply a deterministic tamper simulation", _cmd_attack, _attack_arguments),
+    "bench": ("measure embedding throughput", _cmd_bench, _bench_arguments),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser with every command, or with only `command`'s
+    subparser: that one parses and formats its help exactly as in the full
+    parser, at a fraction of the cost of building all of them."""
+    parser = _Parser(prog="hnttmark", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (text, func, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            if add_arguments:
+                add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A known command needs only its own subparser; help, no arguments and
+    # unknown commands get the full parser and its listing.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

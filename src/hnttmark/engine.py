@@ -46,7 +46,7 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     of worker count.  The blocks are cut into `workers` disjoint
     contiguous slices, run by watermark's banded driver on a pool of at
     most os.cpu_count() threads; each slice works through cache-sized
-    chunks with the same transform kernel and flat embed gather as
+    chunks with the same transform kernel and uint8 embed arithmetic as
     watermark.embed_image.  The stack (n, 4, 4) is the (4n, 4) image the
     kernel works on.  A single cell is transformed once before the
     fan-out; one cell per block is transformed chunk by chunk.

@@ -17,11 +17,11 @@ arithmetic.  That finding holds for this scalar route only.  The image
 routes run the same butterflies in numpy as lookups on packed rows
 (watermark._transform; the watermark module docstring has the details).
 It works on images in their own layout, where a block row is 4
-contiguous pixels.  Each row packs by arithmetic into one code (base 5
-on input, base 3 after the first lookup); a 625-entry table applies H
-along the row, two flat 81x81 tables add and subtract whole row codes
-digitwise mod 3 for the column butterflies, and one gather of 4-byte
-digit words unpacks the codes independently of byte order.  The
+contiguous pixels.  Each row packs into one code (12 bits of shifts and
+masks on input, base 3 after the first lookup); a 4096-entry table
+applies H along the row, two flat 81x81 tables add and subtract whole
+row codes digitwise mod 3 for the column butterflies, and one gather of
+4-byte digit words unpacks the codes independently of byte order.  The
 functions here are the reference those routes are tested against and
 stay out of production paths.
 

@@ -16,13 +16,15 @@ result with those identities:
     extract  w = T(r_s - r_o) mod 3
 
 Embedding needs no transform of the image at all: T(w) is computed once
-per cell (band by band for a full grid), and each pixel becomes one
-gather from the flat 768-entry table _EMBED at 3*x + T(w).  Extraction
-transforms one difference instead of two images, reading residues two
-pixels at a time: the 65536-entry pair tables map two pixels viewed as
-one uint16 to their two residues (or negated residues) as two bytes.
-Arithmetic is exact, hence embed-then-extract returns w exactly and any
-residue change anywhere in a block damages that block's extracted cell.
+per cell (band by band for a full grid), and each pixel is then plain
+uint8 arithmetic, d = 3*(x // 3), m = x - d + T(w), x' = min(d, 252) +
+m - 3*(m // 3).  Extraction transforms one difference instead of two
+images: the digit r_s + 3 - r_o (1..5, equal to r_s - r_o mod 3), with
+each residue computed as x - 3*(x // 3).  Floor division of uint8 by a
+scalar is vectorized in numpy, and % is not, so no route needs a table
+indexed by pixel value.  Arithmetic is exact, hence embed-then-extract
+returns w exactly and any residue change anywhere in a block damages
+that block's extracted cell.
 
 Every image route, and engine.process_blocks, runs through one driver,
 _run_bands.  It cuts the work into contiguous bands of whole block rows,
@@ -35,18 +37,26 @@ straight into the grid and never builds the extracted image.
 Every image route runs T through one kernel, _transform, which performs
 the paper's butterflies as table lookups on packed rows.  It works on an
 (h, w) array in image layout, where a block row is 4 contiguous values,
-so a.reshape(h//4, 4, w//4, 4) names every block row without a copy; an
+so the block rows of a band are its consecutive 4-byte words; an
 (n, 4, 4) block stack is the same thing as a (4n, 4) image.  A row of
-digits a0..a3 packs by arithmetic into one code, a0 most significant:
-base 5 on input (digits 0..4, so extraction can feed it a residue plus a
-negated residue, < 625) and base 3 after the first lookup (< 81).  Three
-tables do the work: _ROW maps a base-5 row code to the base-3 code of
-H*row mod 3; the flat 81x81 _ADD and _SUB, indexed by 81*x + y, add and
-subtract two base-3 codes digitwise mod 3, which runs the column
-butterflies on whole rows, 8 lookups per block.  Unpacking is one gather
-from the (81, 4) digit table viewed as one uint32 per code, viewed back
-as bytes; the bytes round-trip unchanged, so the result does not depend
-on byte order.
+digits x0..x3 (each 0..7) is read as one little-endian uint32, x0 in the
+low byte, and two shift-or-mask steps pack it into the 12-bit code
+x0 + 8*x1 + 64*x2 + 512*x3 (_row_codes).  Three tables do the work: the
+4096-entry _ROW maps a 12-bit row code to the base-3 code of H*row mod
+3 (digits a0..a3, a0 most significant, < 81); the flat 81x81 _ADD and
+_SUB, indexed by 81*x + y, add and subtract two base-3 codes digitwise
+mod 3, which runs the column butterflies on whole rows, 8 lookups per
+block.  _column_pairs stops one stage short, at the two pair codes
+81*A0 + A2 and 81*A1 + A3 of each block, from which rows 0..3 of T are
+one _ADD or _SUB lookup each.  Unpacking is one gather from the (81, 4)
+digit table viewed as one uint32 per code, viewed back as bytes; the
+bytes round-trip unchanged, so the result does not depend on byte order.
+
+verify against a 4x4 cell never unpacks: per call it builds two
+6561-entry tables that hold, for every pair code, the Hamming distance
+of the two rows it yields to the cell's rows (_cell_distances), and a
+block's distance is one lookup from each.  A full-grid reference has no
+such per-row constant, so its bands unpack and compare.
 
 The divisible part is capped at 252 (pixels 253-255 share d = 252) so
 that x' = d + r' <= 254 always fits 8 bits; the cap costs at most 3 grey
@@ -71,73 +81,40 @@ import numpy as np
 from . import hntt
 from .imageio import as_gray, as_ternary, check_multiple_of_4
 
-# Pixel decomposition tables, indexed by pixel value.
+# Pixel decomposition tables, indexed by pixel value: the block route's
+# reference, which the image routes compute in uint8 arithmetic instead.
 RESIDUE_TABLE = tuple(v % 3 for v in range(256))
 DIVISIBLE_TABLE = tuple(min(v - v % 3, 252) for v in range(256))
-
-# Marked pixel value by pixel x and transformed watermark entry t, flat:
-# _EMBED[3*x + t] = d(x) + (r(x) + t) mod 3.
-_EMBED = np.array(
-    [[d + (r + t) % 3 for t in range(3)] for r, d in zip(RESIDUE_TABLE, DIVISIBLE_TABLE)],
-    dtype=np.uint8,
-).ravel()
-_RES = np.array(RESIDUE_TABLE, dtype=np.uint8)
-
-
-def _pair_table(table: np.ndarray) -> np.ndarray:
-    """A 256-entry byte table applied to both bytes of a uint16: entry v
-    holds table[b0], table[b1] for the bytes b0, b1 of v in memory order.
-    Built by broadcasting, with v = 256*i + j at [i, j]; the low byte j
-    comes first in memory on little-endian hosts."""
-    out = np.empty((256, 256, 2), dtype=np.uint8)
-    low, high = (0, 1) if np.little_endian else (1, 0)
-    out[..., low] = table
-    out[..., high] = table[:, None]
-    return out.view(np.uint16).ravel()
-
-
-# Pair tables: two pixels read as one uint16 -> their two residues, or
-# their residues negated mod 3.
-_RES_PAIR = _pair_table(_RES)
-_NEG_PAIR = _pair_table((3 - _RES) % 3)
 
 # Pixels per band of _run_bands: a band's temporaries stay in cache.
 _BAND_PIXELS = 1 << 18
 
 
-def _code(digits, base: int):
-    """Pack 4 digits, digits[0] most significant, into one uint16 code.
-
-    digits holds the 4 digit arrays on its first axis.  Each pair of
-    digits is combined in the input dtype: below base**2 <= 25, so uint8
-    digits stay uint8 until the last step.
-    """
-    high = digits[0] * base + digits[1]
-    low = digits[2] * base + digits[3]
-    return high.astype(np.uint16) * (base * base) + low
-
-
-def _digits(base: int) -> np.ndarray:
-    """The 4 digits of every code below base**4: (4, base**4) uint8."""
-    return (np.arange(base**4) // base ** np.arange(3, -1, -1)[:, None] % base).astype(np.uint8)
+def _code(digits):
+    """Pack 4 base-3 digits, digits[0] most significant, into one code < 81.
+    digits holds the 4 digit arrays on its first axis."""
+    return ((digits[0] * 3 + digits[1]) * 3 + digits[2]) * 3 + digits[3]
 
 
 def _row_table() -> np.ndarray:
-    """Base-5 code of a row -> base-3 code of H*row mod 3, computed with the
-    two butterfly stages of hntt.hntt_1d_fast on every row at once."""
-    x0, x1, x2, x3 = _digits(5).astype(np.int16)
+    """12-bit row code x0 + 8*x1 + 64*x2 + 512*x3 (digits 0..7) -> base-3
+    code of H*row mod 3, computed with the two butterfly stages of
+    hntt.hntt_1d_fast on every row at once."""
+    x0, x1, x2, x3 = np.arange(4096, dtype=np.int16) >> np.arange(0, 12, 3, dtype=np.int16)[:, None] & 7
     a0, a1, a2, a3 = x0 + x1, x0 - x1, x2 + x3, x2 - x3
-    return _code(np.stack([a0 + a2, a0 - a2, a1 + a3, a1 - a3]) % 3, 3).astype(np.uint8)
+    return _code(np.stack([a0 + a2, a0 - a2, a1 + a3, a1 - a3]) % 3).astype(np.uint8)
 
 
 # Transform kernel tables (see the module docstring).  Every table is built
 # in uint8 or int16 with the long axis innermost, which keeps import cheap.
-_D3 = _digits(3)
+_D3 = (np.arange(81) // 3 ** np.arange(3, -1, -1)[:, None] % 3).astype(np.uint8)  # (4, 81)
 _DIGITS = np.ascontiguousarray(_D3.T)  # (81, 4): row q holds the digits of code q
 _DIGIT_WORDS = _DIGITS.view(np.uint32).ravel()
 _ROW = _row_table()
-_ADD = _code((_D3[:, :, None] + _D3[:, None]) % 3, 3).astype(np.uint8).ravel()
-_SUB = _code((_D3[:, :, None] + 3 - _D3[:, None]) % 3, 3).astype(np.uint8).ravel()
+_ADD = _code((_D3[:, :, None] + _D3[:, None]) % 3).ravel()
+_SUB = _code((_D3[:, :, None] + 3 - _D3[:, None]) % 3).ravel()
+# Hamming distance between two base-3 row codes, by [x, y].
+_DIST = (_D3[:, :, None] != _D3[:, None]).sum(0, dtype=np.uint8)
 
 
 def _word_table(texts, dtype) -> np.ndarray:
@@ -203,13 +180,6 @@ def extract_block(original, suspect) -> list[list[int]]:
     return [[(t_susp[i][k] - t_orig[i][k]) % 3 for k in range(4)] for i in range(4)]
 
 
-def _blocks(arr: np.ndarray) -> np.ndarray:
-    """View an (h, w) array as (h//4, 4, w//4, 4): block row, row within
-    the block, block column, pixel.  No copy; the result is in image order."""
-    h, w = arr.shape
-    return arr.reshape(h // 4, 4, w // 4, 4)
-
-
 def _pattern_cells(pattern, shape: tuple) -> np.ndarray:
     """Validate a pattern as a 4x4 cell or a full grid of the image's
     shape and return it as uint8 in image layout."""
@@ -222,26 +192,70 @@ def _pattern_cells(pattern, shape: tuple) -> np.ndarray:
     )
 
 
-def _transform(a: np.ndarray) -> np.ndarray:
-    """T of every 4x4 block of an (h, w) uint8 array of digits 0..4, mod 3.
+def _row_codes(a: np.ndarray) -> np.ndarray:
+    """The 12-bit code x0 + 8*x1 + 64*x2 + 512*x3 of every block row x0..x3
+    of an (h, w) uint8 array of digits 0..7, as (h, w//4) uint32.
 
-    h and w are multiples of 4; the result is uint8 in {0, 1, 2}, in image
-    layout like the input.  H runs along each block row through _ROW, then
-    down the columns as the two butterfly stages of hntt.hntt_1d_fast on
-    whole row codes through _ADD and _SUB.
+    Each block row is read as one little-endian word, x0 in the low byte,
+    whatever the host byte order; two shift-or-mask steps then close the
+    gaps between the 3-bit digits.  Needs a C-contiguous array (others are
+    copied).
+    """
+    v = np.ascontiguousarray(a).view("<u4")
+    t = v >> 5
+    t |= v
+    t &= 0x003F003F  # x0 + 8*x1 in bits 0-5, x2 + 8*x3 in bits 16-21
+    v = t >> 10
+    v |= t
+    v &= 0xFFF
+    return v
+
+
+def _column_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T of every 4x4 block of an (h, w) uint8 array of digits 0..7, mod 3,
+    up to its last four lookups: the pair codes 81*A0 + A2 and 81*A1 + A3,
+    each (h//4, w//4) uint16.
+
+    H runs along each block row through _ROW, then down the columns as the
+    two butterfly stages of hntt.hntt_1d_fast on whole row codes through
+    _ADD and _SUB: A0, A1 (A2, A3) are the sum and difference of rows 0
+    and 1 (2 and 3), and rows 0..3 of the result are _ADD and _SUB of the
+    first pair code, then of the second.
     """
     h, w = a.shape
-    rows = _ROW.take(_code(np.moveaxis(_blocks(a), 3, 0), 5))  # (h//4, 4, w//4)
+    rows = _ROW.take(_row_codes(a)).reshape(h // 4, 4, w // 4)
     pair01 = np.multiply(rows[:, 0], 81, dtype=np.uint16) + rows[:, 1]
     pair23 = np.multiply(rows[:, 2], 81, dtype=np.uint16) + rows[:, 3]
     pair02 = np.multiply(_ADD.take(pair01), 81, dtype=np.uint16) + _ADD.take(pair23)
     pair13 = np.multiply(_SUB.take(pair01), 81, dtype=np.uint16) + _SUB.take(pair23)
-    out = np.empty_like(rows)
+    return pair02, pair13
+
+
+def _transform(a: np.ndarray) -> np.ndarray:
+    """T of every 4x4 block of an (h, w) uint8 array of digits 0..7, mod 3.
+
+    h and w are multiples of 4; the result is uint8 in {0, 1, 2}, in image
+    layout like the input.
+    """
+    h, w = a.shape
+    pair02, pair13 = _column_pairs(a)
+    out = np.empty((h // 4, 4, w // 4), dtype=np.uint8)
     out[:, 0] = _ADD.take(pair02)
     out[:, 1] = _SUB.take(pair02)
     out[:, 2] = _ADD.take(pair13)
     out[:, 3] = _SUB.take(pair13)
     return _DIGIT_WORDS.take(out).view(np.uint8).reshape(h, w)
+
+
+def _cell_distances(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance tables of a 4x4 ternary cell over the pair codes of
+    _column_pairs, two 6561-entry uint8 arrays.  Rows 0 and 1 of a
+    transformed block are _ADD and _SUB of its first pair code p, so entry
+    p of the first table is their Hamming distance to the cell's rows 0
+    and 1; the second does the same for rows 2 and 3 and the second pair
+    code.  A block's distance to the cell is one lookup in each."""
+    c0, c1, c2, c3 = _code(cell.T)
+    return _DIST[_ADD, c0] + _DIST[_SUB, c1], _DIST[_ADD, c2] + _DIST[_SUB, c3]
 
 
 def _run_bands(work, rows: int, row_pixels: int, slices: int = 0) -> None:
@@ -270,11 +284,19 @@ def _run_bands(work, rows: int, row_pixels: int, slices: int = 0) -> None:
 
 
 def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
-    """out = d(x) + (r(x) + t) mod 3 for pixels x and transformed cells t
-    that broadcast against x: one flat _EMBED gather at 3*x + t."""
-    index = np.multiply(x, 3, dtype=np.uint16)
-    index += t
-    _EMBED.take(index, out=out, mode="clip")
+    """out = min(d, 252) + (r + t) mod 3 with d = 3*(x // 3) and r = x - d,
+    for pixels x and transformed cells t that broadcast against x; out
+    must not overlap x.  All in uint8, and built up in out: numpy
+    vectorizes floor division by a scalar, and not %."""
+    d = x // 3
+    d *= 3
+    np.subtract(x, d, out=out)
+    out += t
+    q = out // 3
+    q *= 3
+    out -= q
+    np.minimum(d, 252, out=d)
+    out += d
 
 
 def embed_image(image, pattern) -> np.ndarray:
@@ -309,17 +331,21 @@ def _image_pair(original, suspect) -> tuple[np.ndarray, np.ndarray]:
     return orig, susp
 
 
-def _extract_rows(orig: np.ndarray, susp: np.ndarray) -> np.ndarray:
-    """The extracted pattern of a band of whole block rows.
+def _residue(x: np.ndarray) -> np.ndarray:
+    """x mod 3 of uint8 pixels, as x - 3*(x // 3)."""
+    r = x // 3
+    r *= 3
+    np.subtract(x, r, out=r)
+    return r
 
-    The residues are read two pixels at a time through the pair tables,
-    whose uint16 view needs a C-contiguous band (others are copied);
-    r_s - r_o == r_s + (-r_o) (mod 3) is a digit 0..4 per byte, so the
-    byte pairs add without carry.
-    """
-    digits = _RES_PAIR.take(np.ascontiguousarray(susp).view(np.uint16))
-    digits += _NEG_PAIR.take(np.ascontiguousarray(orig).view(np.uint16))
-    return _transform(digits.view(np.uint8))
+
+def _difference_digits(orig: np.ndarray, susp: np.ndarray) -> np.ndarray:
+    """r_s + 3 - r_o per pixel: a digit 1..5 that is r_s - r_o mod 3, the
+    residue difference whose transform is the extracted pattern."""
+    digits = _residue(susp)
+    digits += 3
+    digits -= _residue(orig)
+    return digits
 
 
 def extract_image(original, suspect) -> np.ndarray:
@@ -330,7 +356,7 @@ def extract_image(original, suspect) -> np.ndarray:
 
     def band(lo: int, hi: int) -> None:
         rows = slice(4 * lo, 4 * hi)
-        out[rows] = _extract_rows(orig[rows], susp[rows])
+        out[rows] = _transform(_difference_digits(orig[rows], susp[rows]))
 
     _run_bands(band, h // 4, 4 * w)
     return out
@@ -476,16 +502,25 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     cells = _pattern_cells(reference, orig.shape)
     h, w = orig.shape
     distances = np.empty((h // 4, w // 4), dtype=np.uint8)
-    cell = np.tile(cells, w // 4) if cells.shape == (4, 4) else None
 
-    def band(lo: int, hi: int) -> None:
-        rows = slice(4 * lo, 4 * hi)
-        ref = cell if cell is not None else cells[rows]
-        # Count in uint8 (at most 16 per block): add the 4 rows of each
-        # block, then its 4 columns.  Far cheaper than a strided int64 sum.
-        diff = (_extract_rows(orig[rows], susp[rows]).reshape(-1, 4, w) != ref.reshape(-1, 4, w)).view(np.uint8)
-        cols = (diff[:, 0] + diff[:, 1] + diff[:, 2] + diff[:, 3]).reshape(-1, w // 4, 4)
-        np.add(cols[..., 0] + cols[..., 1], cols[..., 2] + cols[..., 3], out=distances[lo:hi])
+    if cells.shape == (4, 4):
+        dist02, dist13 = _cell_distances(cells)
+
+        def band(lo: int, hi: int) -> None:
+            rows = slice(4 * lo, 4 * hi)
+            pair02, pair13 = _column_pairs(_difference_digits(orig[rows], susp[rows]))
+            np.add(dist02.take(pair02), dist13.take(pair13), out=distances[lo:hi])
+
+    else:
+
+        def band(lo: int, hi: int) -> None:
+            rows = slice(4 * lo, 4 * hi)
+            # Count in uint8 (at most 16 per block): add the 4 rows of each
+            # block, then its 4 columns.  Far cheaper than a strided int64 sum.
+            extracted = _transform(_difference_digits(orig[rows], susp[rows]))
+            diff = (extracted.reshape(-1, 4, w) != cells[rows].reshape(-1, 4, w)).view(np.uint8)
+            cols = (diff[:, 0] + diff[:, 1] + diff[:, 2] + diff[:, 3]).reshape(-1, w // 4, 4)
+            np.add(cols[..., 0] + cols[..., 1], cols[..., 2] + cols[..., 3], out=distances[lo:hi])
 
     _run_bands(band, h // 4, 4 * w)
     return TamperReport(threshold=threshold, distances=distances)

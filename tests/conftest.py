@@ -4,7 +4,7 @@ from concurrent.futures import Future
 import pytest
 from hypothesis import settings
 
-from hnttmark import engine, watermark
+from hnttmark import watermark
 
 # Examples are derived from each test's source rather than drawn at random,
 # so every run checks the same cases, and no deadline fails a slow example
@@ -42,18 +42,20 @@ def inline_pool(monkeypatch):
 
 @pytest.fixture
 def failing_bands(monkeypatch):
-    """Cut every route into one-block-row bands and make the transform raise
-    a MemoryError when a band calls it (bands run on pool threads); calls
-    made before the fan-out still work.  Returns the error raised."""
+    """Cut every route into one-block-row bands and make the transform
+    kernel's shared entry, _column_pairs, raise a MemoryError when a band
+    reaches it (bands run on pool threads); calls made before the fan-out
+    still work.  Every band that transforms goes through _column_pairs:
+    _transform calls it, and verify with a cell reference calls it alone.
+    Returns the error raised."""
     error = MemoryError("band out of memory")
-    transform = watermark._transform
+    column_pairs = watermark._column_pairs
 
     def failing(a):
         if threading.current_thread() is not threading.main_thread():
             raise error
-        return transform(a)
+        return column_pairs(a)
 
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
-    monkeypatch.setattr(watermark, "_transform", failing)
-    monkeypatch.setattr(engine, "_transform", failing)
+    monkeypatch.setattr(watermark, "_column_pairs", failing)
     return error

@@ -1,5 +1,6 @@
 """CLI surface: flag handling, exit codes, end-to-end file workflows."""
 
+import argparse
 import io
 import json
 import os
@@ -9,8 +10,8 @@ import sys
 import numpy as np
 
 import hnttmark
-from hnttmark import imageio
-from hnttmark.cli import EXIT_ERROR, EXIT_OK, EXIT_TAMPERED, main
+from hnttmark import cli, imageio
+from hnttmark.cli import EXIT_ERROR, EXIT_OK, EXIT_TAMPERED, build_parser, main
 from hnttmark.watermark import checkerboard_cell
 
 
@@ -260,6 +261,31 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["bench", "--width", "8388608", "--height", "8388608", "--iters", "1"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_a_lone_subparser_matches_the_full_parser(monkeypatch, capsys):
+    full = _subparsers(build_parser())
+    assert list(full) == ["params", "transform", "embed", "extract", "verify", "attack", "bench"]
+    for command, want in full.items():
+        lone = _subparsers(build_parser(command))
+        assert list(lone) == [command]
+        assert lone[command].format_help() == want.format_help()
+        assert lone[command].format_usage() == want.format_usage()
+    # main builds the lone subparser for a known command, the full one otherwise
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+    for argv, command in ((["params"], "params"), (["nosuchcommand"], None), ([], None), (["--help"], None)):
+        try:
+            main(argv)
+        except SystemExit:  # --help exits after printing the listing
+            pass
+        assert built.pop() == command
+    out, err = capsys.readouterr()
+    assert "{params,transform,embed,extract,verify,attack,bench}" in out + err
 
 
 def test_watermark_and_pattern_are_exclusive(tmp_path):

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hnttmark import hntt
-from hnttmark.watermark import _ADD, _DIGIT_WORDS, _DIGITS, _ROW, _SUB, _transform
+from hnttmark.watermark import (
+    _ADD,
+    _DIGIT_WORDS,
+    _DIGITS,
+    _ROW,
+    _SUB,
+    _cell_distances,
+    _row_codes,
+    _transform,
+)
 
 # Literal copy of the transform matrix so oracle arithmetic below never
 # touches the code paths under test.
@@ -231,11 +240,24 @@ def _code_of(digits, base):
 
 
 def test_kernel_row_table_exhaustive():
-    # every row of digits 0..4, the range extraction feeds the kernel
-    assert _ROW.shape == (625,)
-    for code in range(625):
-        row = [d % 3 for d in _digits_of(code, 5)]
-        assert _ROW[code] == _code_of(hntt.hntt_1d(row), 3)
+    # every row of digits 0..7, the range of the 12-bit row code
+    assert _ROW.shape == (4096,)
+    for code in range(4096):
+        row = [code >> shift & 7 for shift in (0, 3, 6, 9)]
+        assert _ROW[code] == _code_of(hntt.hntt_1d([d % 3 for d in row]), 3)
+
+
+def test_kernel_row_codes_exhaustive():
+    # all 4096 rows of digits 0..7 side by side, first pixel lowest
+    rows = np.array(list(product(range(8), repeat=4)), dtype=np.uint8)[:, ::-1]
+    codes = _row_codes(rows.reshape(2, -1))
+    assert codes.shape == (2, 2048)
+    want = rows.astype(np.int64) @ [1, 8, 64, 512]
+    assert codes.ravel().tolist() == want.tolist() == list(range(4096))
+    # a strided view is copied first, not read through its base's words
+    wide = np.zeros((2, rows.size), dtype=np.uint8)
+    wide[:, ::2] = rows.reshape(2, -1)
+    assert np.array_equal(_row_codes(wide[:, ::2]), codes)
 
 
 def test_kernel_add_sub_tables_exhaustive():
@@ -251,6 +273,20 @@ def test_kernel_unpacks_every_code_to_its_digits():
     unpacked = _DIGIT_WORDS.take(codes).view(np.uint8).reshape(81, 4)
     for code in range(81):
         assert unpacked[code].tolist() == _DIGITS[code].tolist() == _digits_of(code, 3)
+
+
+@given(arrays(np.uint8, (4, 4), elements=st.integers(0, 2)))
+def test_cell_distance_tables_exhaustive(cell):
+    # every pair code p = 81*a + b against a brute-force count: rows 0 and 1
+    # of a block are a + b and a - b digitwise mod 3, as are rows 2 and 3
+    # from the second pair code
+    a, b = np.divmod(np.arange(81 * 81), 81)
+    da, db = np.stack(_digits_of(a, 3), 1), np.stack(_digits_of(b, 3), 1)
+    tables = _cell_distances(cell)
+    for table, (first, second) in zip(tables, (cell[:2], cell[2:])):
+        assert table.dtype == np.uint8 and table.shape == (81 * 81,)
+        want = ((da + db) % 3 != first).sum(1) + ((da - db) % 3 != second).sum(1)
+        assert table.tolist() == want.tolist()
 
 
 def _triple_product(blocks):

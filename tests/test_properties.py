@@ -94,6 +94,23 @@ def test_verify_distances_match_extract_block(case, data):
     assert np.array_equal(report.tampered, report.distances > 0)
 
 
+@given(image_and_pattern(), ternary((4, 4)), st.data())
+def test_verify_cell_matches_its_tiled_grid(case, other, data):
+    # a cell reference is counted from pair codes, a grid one by unpacking
+    # and comparing: the two paths must agree on every suspect
+    img, pattern = case
+    touched = data.draw(arrays(np.bool_, img.shape))
+    noise = data.draw(arrays(np.uint8, img.shape))
+    suspect = np.where(touched, noise, embed_image(img, pattern))
+    cell = pattern if pattern.shape == (4, 4) and data.draw(st.booleans()) else other
+    tiled = np.tile(cell, (img.shape[0] // 4, img.shape[1] // 4))
+    threshold = data.draw(st.integers(0, 16))
+    got, want = verify(img, suspect, cell, threshold), verify(img, suspect, tiled, threshold)
+    assert got.distances.dtype == want.distances.dtype == np.uint8
+    assert np.array_equal(got.distances, want.distances)
+    assert got.to_json() == want.to_json()
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # the patches suit every example
 @given(image_and_pattern(block_rows=8), st.data())

@@ -56,6 +56,26 @@ def test_decompose_tables_cover_all_pixel_values():
         assert d + r == v or (v == 255 and d + r == 252)
 
 
+def test_image_residue_digits_exhaustive():
+    # every (original, suspect) pixel pair: the digit extraction transforms
+    orig, susp = (a.astype(np.uint8) for a in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
+    digits = watermark._difference_digits(orig, susp)
+    assert digits.dtype == np.uint8 and digits.shape == (256, 256)
+    assert digits.min() == 1 and digits.max() == 5
+    r_o, r_s = (np.array(RESIDUE_TABLE)[a] for a in (orig, susp))
+    assert ((digits.astype(np.int64) - (r_s - r_o)) % 3 == 0).all()
+
+
+def test_image_embed_arithmetic_exhaustive():
+    # every (pixel, transformed cell entry) pair against the tables
+    x, t = (a.astype(np.uint8) for a in np.meshgrid(np.arange(256), np.arange(3), indexing="ij"))
+    out = np.empty_like(x)
+    watermark._embed_into(out, x, t)
+    want = [[DIVISIBLE_TABLE[v] + (RESIDUE_TABLE[v] + e) % 3 for e in range(3)] for v in range(256)]
+    assert out.tolist() == want
+    assert x.tolist() == [[v] * 3 for v in range(256)]  # the input is left alone
+
+
 def test_decompose_validation():
     with pytest.raises(ValueError):
         decompose([[0] * 4] * 3)
@@ -279,6 +299,7 @@ def test_an_error_in_a_band_surfaces_unchanged(failing_bands):
         lambda: embed_image(img, grid),
         lambda: extract_image(img, img),
         lambda: verify(img, img, checkerboard_cell()),
+        lambda: verify(img, img, grid),
         lambda: process_blocks(np.zeros((8, 4, 4), dtype=np.uint8), np.zeros((8, 4, 4), dtype=np.uint8), 2),
     ):
         with pytest.raises(MemoryError) as info:
