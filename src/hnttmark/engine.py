@@ -1,14 +1,14 @@
 """Block-parallel embedding engine and throughput benchmark.
 
-Blocks are mutually independent, so the engine partitions them into
-contiguous ranges and lets each worker embed its own slice; outputs are
-bit-identical for any worker count and any scheduling.  The benchmark
-reports measured blocks per second plus the equivalent frame rate for
-the chosen frame size (blocks_per_second / blocks_per_frame).  That is
-the same arithmetic that maps a dedicated 100 MHz one-block-per-cycle
-pipeline to 95.37 Hz at 4096x4096 (1e8 / 1_048_576); desk software is
-not expected to reach such rates, and none are asserted here, only
-reported.
+An (n, 4, 4) block stack is the (4n, 4) image, so the engine embeds it
+through the same core, bands and threads as watermark.embed_image, with
+`workers` as a cap on threads; outputs are bit-identical for any worker
+count and any number of CPUs.  The benchmark reports measured blocks per
+second plus the equivalent frame rate for the chosen frame size
+(blocks_per_second / blocks_per_frame).  That is the same arithmetic
+that maps a dedicated 100 MHz one-block-per-cycle pipeline to 95.37 Hz
+at 4096x4096 (1e8 / 1_048_576); desk software is not expected to reach
+such rates, and none are asserted here, only reported.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .imageio import as_pixels, as_ternary
-from .watermark import _BAND_PIXELS, _embed_into, _run_bands, _transform, checkerboard_cell
+from .watermark import _embed, checkerboard_cell
 
 
 def _as_block_stack(blocks) -> np.ndarray:
@@ -40,35 +40,22 @@ def _as_cells(pattern, count: int) -> np.ndarray:
 
 
 def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
-    """Embed a watermark into every 4x4 block, fanning out over workers.
+    """Embed a watermark into every 4x4 block on at most `workers` threads.
 
-    The output is identical to sequential per-block embedding regardless
-    of worker count.  The blocks are cut into `workers` disjoint
-    contiguous slices, run by watermark's banded driver on a pool of at
-    most os.cpu_count() threads; each slice works through cache-sized
-    chunks with the same transform kernel and uint8 embed arithmetic as
-    watermark.embed_image.  The stack (n, 4, 4) is the (4n, 4) image the
-    kernel works on.  A single cell is transformed once before the
-    fan-out; one cell per block is transformed chunk by chunk.
-    Accepts a list of 4x4 blocks or an (n, 4, 4) array; the pattern is a
-    single cell applied to all blocks, or one cell per block.
+    The stack (n, 4, 4) is the (4n, 4) image, and this is embed_image's
+    core on that view: bands of about _BAND_PIXELS pixels on a pool of
+    min(workers, os.cpu_count(), bands) threads, where a pool of one runs
+    inline.  The output is identical to sequential per-block embedding
+    regardless of worker count.  Accepts a list of 4x4 blocks or an
+    (n, 4, 4) array; the pattern is a single cell applied to all blocks,
+    or one cell per block.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1, got %d" % workers)
     stack = _as_block_stack(blocks)
     n = stack.shape[0]
     cells = _as_cells(pattern, n)
-    out = np.empty((n, 4, 4), dtype=np.uint8)
-    single = cells.ndim == 2
-    if single:  # once, before the fan-out, tiled to one chunk
-        cells = np.tile(_transform(cells), (min(n, _BAND_PIXELS // 16), 1, 1))
-
-    def chunk(lo: int, hi: int) -> None:
-        t = cells[: hi - lo] if single else _transform(cells[lo:hi].reshape(-1, 4)).reshape(-1, 4, 4)
-        _embed_into(out[lo:hi], stack[lo:hi], t)
-
-    _run_bands(chunk, n, 16, workers if n >= 2 * workers else 1)
-    return out
+    return _embed(stack.reshape(-1, 4), cells.reshape(-1, 4), workers).reshape(n, 4, 4)
 
 
 @dataclasses.dataclass

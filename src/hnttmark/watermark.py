@@ -26,11 +26,13 @@ indexed by pixel value.  Arithmetic is exact, hence embed-then-extract
 returns w exactly and any residue change anywhere in a block damages
 that block's extracted cell.
 
-Every image route, and engine.process_blocks, runs through one driver,
-_run_bands.  It cuts the work into contiguous bands of whole block rows,
-about _BAND_PIXELS pixels each so that a band's temporaries stay in
-cache, and runs them on min(os.cpu_count(), bands) threads; one band
-runs inline.  numpy releases the interpreter lock in the gathers and the
+Every image route runs through one driver, _run_bands, and so does
+engine.process_blocks, which is _embed on the (4n, 4) view of its block
+stack.  The driver cuts the work into contiguous bands of whole block
+rows, about _BAND_PIXELS pixels each so that a band's temporaries stay in
+cache, and runs them on min(threads or os.cpu_count(), os.cpu_count(),
+bands) threads, where a pool of one runs inline; only the engine passes
+threads.  numpy releases the interpreter lock in the gathers and the
 arithmetic, so bands overlap.  verify counts each band's distances
 straight into the grid and never builds the extracted image.
 
@@ -258,36 +260,37 @@ def _cell_distances(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _DIST[_ADD, c0] + _DIST[_SUB, c1], _DIST[_ADD, c2] + _DIST[_SUB, c3]
 
 
-def _run_bands(work, rows: int, row_pixels: int, slices: int = 0) -> None:
-    """Call work(lo, hi) over [0, rows) in contiguous bands of whole rows,
-    each at most max(1, _BAND_PIXELS // row_pixels) rows.
+def _band_rows(row_pixels: int) -> int:
+    """Rows per band of _run_bands, for rows of row_pixels pixels."""
+    return max(1, _BAND_PIXELS // row_pixels)
 
-    The rows are cut into `slices` contiguous slices, each working through
-    its bands in order; slices=0 makes every band its own slice.  A single
-    slice runs inline, more run on a pool of at most os.cpu_count()
-    threads.  An exception raised in a band propagates unchanged.
+
+def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> None:
+    """Call work(lo, hi) over [0, rows) in contiguous bands of
+    _band_rows(row_pixels) whole rows.
+
+    The bands run on a pool of min(threads or os.cpu_count(),
+    os.cpu_count(), bands) threads; a pool of one runs them inline, in
+    order.  An exception raised in a band propagates unchanged.
     """
-    step = max(1, _BAND_PIXELS // row_pixels)
-    slices = slices or -(-rows // step)
-
-    def run(lo: int, hi: int) -> None:
-        for start in range(lo, hi, step):
-            work(start, min(start + step, hi))
-
-    if slices == 1:
-        return run(0, rows)
-    bounds = [(i * rows) // slices for i in range(slices + 1)]
-    with ThreadPoolExecutor(max_workers=min(slices, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(run, bounds[i], bounds[i + 1]) for i in range(slices)]
-        for future in futures:
+    step = _band_rows(row_pixels)
+    bands = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    cpus = os.cpu_count() or 1
+    size = min(threads or cpus, cpus, len(bands))
+    if size <= 1:
+        for lo, hi in bands:
+            work(lo, hi)
+        return
+    with ThreadPoolExecutor(max_workers=size) as pool:
+        for future in [pool.submit(work, lo, hi) for lo, hi in bands]:
             future.result()
 
 
 def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
     """out = min(d, 252) + (r + t) mod 3 with d = 3*(x // 3) and r = x - d,
-    for pixels x and transformed cells t that broadcast against x; out
-    must not overlap x.  All in uint8, and built up in out: numpy
-    vectorizes floor division by a scalar, and not %."""
+    for pixels x and transformed cells t of x's shape; out must not
+    overlap x.  All in uint8, and built up in out: numpy vectorizes floor
+    division by a scalar, and not %."""
     d = x // 3
     d *= 3
     np.subtract(x, d, out=out)
@@ -299,6 +302,25 @@ def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
     out += d
 
 
+def _embed(img: np.ndarray, cells: np.ndarray, threads: int | None = None) -> np.ndarray:
+    """embed_image on validated (h, w) uint8 pixels and a validated 4x4
+    cell or (h, w) grid, with the bands on at most `threads` threads (see
+    _run_bands).  A cell is transformed once and tiled to one band, which
+    every band slices; a grid is transformed band by band."""
+    h, w = img.shape
+    out = np.empty((h, w), dtype=np.uint8)
+    cell = cells.shape == (4, 4)
+    if cell:
+        tile = np.tile(_transform(cells), (min(_band_rows(4 * w), h // 4), w // 4))
+
+    def band(lo: int, hi: int) -> None:
+        rows = slice(4 * lo, 4 * hi)
+        _embed_into(out[rows], img[rows], tile[: 4 * (hi - lo)] if cell else _transform(cells[rows]))
+
+    _run_bands(band, h // 4, 4 * w, threads)
+    return out
+
+
 def embed_image(image, pattern) -> np.ndarray:
     """Embed a watermark pattern blockwise into a whole image.
 
@@ -306,18 +328,7 @@ def embed_image(image, pattern) -> np.ndarray:
     every 4x4 tile in any order.
     """
     img = check_multiple_of_4(as_gray(image), "image")
-    cells = _pattern_cells(pattern, img.shape)
-    h, w = img.shape
-    out = np.empty((h, w), dtype=np.uint8)
-    cell = np.tile(_transform(cells), w // 4) if cells.shape == (4, 4) else None
-
-    def band(lo: int, hi: int) -> None:
-        rows = slice(4 * lo, 4 * hi)
-        t = cell if cell is not None else _transform(cells[rows])
-        _embed_into(out[rows].reshape(-1, 4, w), img[rows].reshape(-1, 4, w), t.reshape(-1, 4, w))
-
-    _run_bands(band, h // 4, 4 * w)
-    return out
+    return _embed(img, _pattern_cells(pattern, img.shape))
 
 
 def _image_pair(original, suspect) -> tuple[np.ndarray, np.ndarray]:
@@ -473,13 +484,14 @@ class TamperReport:
         ])
 
     def to_text(self) -> str:
-        regions = tamper_regions(self.tampered)
+        flags = self.tampered
+        regions = tamper_regions(flags)
         histogram = np.bincount(self.distances.ravel(), minlength=17)
         lines = [
             "grid_width=%d" % self.grid_width,
             "grid_height=%d" % self.grid_height,
             "threshold=%d" % self.threshold,
-            "total_tampered=%d" % self.total_tampered,
+            "total_tampered=%d" % np.count_nonzero(flags),
             "regions=%d" % len(regions),
         ]
         for i, box in enumerate(regions):

@@ -42,12 +42,13 @@ def inline_pool(monkeypatch):
 
 @pytest.fixture
 def failing_bands(monkeypatch):
-    """Cut every route into one-block-row bands and make the transform
-    kernel's shared entry, _column_pairs, raise a MemoryError when a band
-    reaches it (bands run on pool threads); calls made before the fan-out
-    still work.  Every band that transforms goes through _column_pairs:
-    _transform calls it, and verify with a cell reference calls it alone.
-    Returns the error raised."""
+    """Cut every route into one-block-row bands on two CPUs, whatever the
+    host has, and make the transform kernel's shared entry, _column_pairs,
+    raise a MemoryError when a band reaches it (bands run on pool
+    threads); calls made before the fan-out still work.  Every band that
+    transforms goes through _column_pairs: _transform calls it, and
+    verify with a cell reference calls it alone.  Returns the error
+    raised."""
     error = MemoryError("band out of memory")
     column_pairs = watermark._column_pairs
 
@@ -57,5 +58,6 @@ def failing_bands(monkeypatch):
         return column_pairs(a)
 
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(watermark, "_column_pairs", failing)
     return error
