@@ -43,12 +43,14 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     """Embed a watermark into every 4x4 block on at most `workers` threads.
 
     The stack (n, 4, 4) is the (4n, 4) image, and this is embed_image's
-    core on that view: bands of about _BAND_PIXELS pixels on a pool of
-    min(workers, os.cpu_count(), bands) threads, where a pool of one runs
-    inline.  The output is identical to sequential per-block embedding
-    regardless of worker count.  Accepts a list of 4x4 blocks or an
-    (n, 4, 4) array; the pattern is a single cell applied to all blocks,
-    or one cell per block.
+    core on that view: bands of about _BAND_PIXELS pixels on
+    min(workers, os.cpu_count(), bands) threads.  The calling thread
+    works a share of the bands and helpers from the process's kept pool
+    run the rest (a forked child drops that pool and builds its own); one
+    thread runs every band inline.  The output is identical to sequential
+    per-block embedding regardless of worker count.  Accepts a list of
+    4x4 blocks or an (n, 4, 4) array; the pattern is a single cell
+    applied to all blocks, or one cell per block.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1, got %d" % workers)

@@ -102,11 +102,9 @@ def _header_int(data: bytes, pos: int, name: str) -> tuple[int, int]:
         raise ValueError("malformed PGM header: bad %s %r" % (name, token)) from None
 
 
-def read_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary (P5) or plain (P2) PGM with maxval <= 255.
-
-    Samples are taken as they are, unscaled; each must be <= maxval.
-    """
+def _header(data: bytes) -> tuple[bytes, int, int, int, int]:
+    """The validated header of a PGM: magic, width, height, maxval, and
+    the offset just past the maxval token."""
     magic, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
         raise ValueError("not a PGM image (expected P2 or P5 magic, got %r)" % magic)
@@ -119,6 +117,15 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise ValueError("unsupported PGM maxval %d (only <= 255 handled)" % maxval)
     if maxval <= 0:
         raise ValueError("invalid PGM maxval %d" % maxval)
+    return magic, width, height, maxval, pos
+
+
+def read_pgm(data: bytes) -> np.ndarray:
+    """Parse a binary (P5) or plain (P2) PGM with maxval <= 255.
+
+    Samples are taken as they are, unscaled; each must be <= maxval.
+    """
+    magic, width, height, maxval, pos = _header(data)
     count = width * height
 
     if magic == b"P5":
@@ -166,7 +173,11 @@ def read_watermark(data: bytes) -> np.ndarray:
     time) or a full per-block grid; both mean dimensions must be
     multiples of 4, and every value must be in {0, 1, 2}.
     """
-    return check_multiple_of_4(as_ternary(read_pgm(data)), "watermark")
+    pattern = read_pgm(data)
+    maxval = _header(data)[3]
+    if maxval > 2:  # values up to 2 are already held by read_pgm's range check
+        as_ternary(pattern)
+    return check_multiple_of_4(pattern, "watermark")
 
 
 def write_watermark(pattern) -> bytes:

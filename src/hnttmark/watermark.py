@@ -31,10 +31,13 @@ engine.process_blocks, which is _embed on the (4n, 4) view of its block
 stack.  The driver cuts the work into contiguous bands of whole block
 rows, about _BAND_PIXELS pixels each so that a band's temporaries stay in
 cache, and runs them on min(threads or os.cpu_count(), os.cpu_count(),
-bands) threads, where a pool of one runs inline; only the engine passes
-threads.  numpy releases the interpreter lock in the gathers and the
-arithmetic, so bands overlap.  verify counts each band's distances
-straight into the grid and never builds the extracted image.
+bands) threads; only the engine passes threads.  The calling thread works
+its share of the bands, and the rest go to one helper pool per process,
+built on first use and kept (a forked child drops it and builds its own);
+one thread runs every band inline.  numpy releases the interpreter lock
+in the gathers and the arithmetic, so bands overlap.  verify counts each
+band's distances straight into the grid and never builds the extracted
+image.
 
 Every image route runs T through one kernel, _transform, which performs
 the paper's butterflies as table lookups on packed rows.  It works on an
@@ -74,8 +77,9 @@ the block route bit for bit (the test suite holds them to that).
 """
 
 import os
+import threading
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,25 +269,62 @@ def _band_rows(row_pixels: int) -> int:
     return max(1, _BAND_PIXELS // row_pixels)
 
 
+# The band helper pool of _run_bands: built on first use, then kept.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _helper_pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of band helper threads, built with `threads`
+    threads on first use and kept; a forked child starts without one."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=threads, thread_name_prefix="hnttmark-band")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the parent's pool in a forked child, whose copy has no threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> None:
     """Call work(lo, hi) over [0, rows) in contiguous bands of
     _band_rows(row_pixels) whole rows.
 
-    The bands run on a pool of min(threads or os.cpu_count(),
-    os.cpu_count(), bands) threads; a pool of one runs them inline, in
-    order.  An exception raised in a band propagates unchanged.
+    The bands run on size = min(threads or os.cpu_count(), os.cpu_count(),
+    bands) threads: the calling thread runs bands[0::size] and size - 1
+    tasks on the process's helper pool (os.cpu_count() - 1 threads, built
+    on first use) run bands[k::size].  With size 1 every band runs inline,
+    in order, and no pool is built.  No band waits on the pool, so calls
+    from many threads share it without deadlock.  The call returns or
+    raises only once all its bands are done; an exception raised in a band
+    propagates unchanged, the caller's own first, then the first helper's.
     """
     step = _band_rows(row_pixels)
     bands = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
     cpus = os.cpu_count() or 1
-    size = min(threads or cpus, cpus, len(bands))
-    if size <= 1:
-        for lo, hi in bands:
+    size = max(1, min(threads or cpus, cpus, len(bands)))
+
+    def share(k: int) -> None:
+        for lo, hi in bands[k::size]:
             work(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=size) as pool:
-        for future in [pool.submit(work, lo, hi) for lo, hi in bands]:
-            future.result()
+
+    helpers = []
+    try:
+        for k in range(1, size):
+            helpers.append(_helper_pool(cpus - 1).submit(share, k))
+        share(0)
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
 
 
 def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:

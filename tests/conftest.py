@@ -15,37 +15,48 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace the banded driver's thread pool with one that runs each call
-    as it is submitted, so no thread starts.  Returns the lists it records:
-    the pool sizes asked for and the argument tuples submitted."""
-    sizes, submitted = [], []
+    """Replace the banded driver's helper pool with one that runs each task
+    as it is submitted, so no thread starts, and record every _run_bands
+    call as (threads, bands): the threads it used, the caller plus one per
+    helper task, and the (lo, hi) bands it ran, sorted.  Returns the list
+    of calls."""
+    calls, helpers = [], []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, *args):
-            submitted.append(args)
+            helpers.append(args)
             future = Future()
-            future.set_result(fn(*args))
+            try:
+                future.set_result(fn(*args))
+            except BaseException as error:
+                future.set_exception(error)
             return future
 
-    monkeypatch.setattr(watermark, "ThreadPoolExecutor", InlinePool)
-    return sizes, submitted
+    run_bands = watermark._run_bands
+
+    def recorded(work, *args):
+        helpers.clear()
+        ran = []
+
+        def band(lo, hi):
+            ran.append((lo, hi))
+            work(lo, hi)
+
+        run_bands(band, *args)
+        calls.append((1 + len(helpers), sorted(ran)))
+
+    monkeypatch.setattr(watermark, "_helper_pool", lambda threads: InlinePool())
+    monkeypatch.setattr(watermark, "_run_bands", recorded)
+    return calls
 
 
 @pytest.fixture
 def failing_bands(monkeypatch):
     """Cut every route into one-block-row bands on two CPUs, whatever the
     host has, and make the transform kernel's shared entry, _column_pairs,
-    raise a MemoryError when a band reaches it (bands run on pool
-    threads); calls made before the fan-out still work.  Every band that
+    raise a MemoryError when a helper's band reaches it (helper bands run
+    on pool threads, the caller's on the main thread); calls made before
+    the fan-out, and the caller's own bands, still work.  Every band that
     transforms goes through _column_pairs: _transform calls it, and
     verify with a cell reference calls it alone.  Returns the error
     raised."""

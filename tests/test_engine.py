@@ -61,34 +61,29 @@ def test_worker_count_never_changes_output():
 
 def test_thread_pool_is_capped_at_cpu_count(monkeypatch, inline_pool):
     # the stack runs as the (4n, 4) image: bands of _BAND_PIXELS // 16
-    # blocks on min(workers, cpus, bands) threads, a pool of one inline
-    pool_sizes, bands = inline_pool
+    # blocks on min(workers, cpus, bands) threads, one thread inline
+    calls = inline_pool
     blocks = _blocks(1000, seed=12)
     cells = _cells(1000, seed=13)
     baseline = process_blocks(blocks, cells, workers=1)
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 16 * 150)
     view_bands = [(lo, min(lo + 150, 1000)) for lo in range(0, 1000, 150)]
-    for cpus, workers, pool_size in ((3, 50, 3), (3, 2, 2), (16, 50, 7), (8, 1, None), (None, 8, None)):
+    for cpus, workers, threads in ((3, 50, 3), (3, 2, 2), (16, 50, 7), (8, 1, 1), (None, 8, 1)):
         monkeypatch.setattr(watermark.os, "cpu_count", lambda: cpus)
-        pool_sizes.clear()
-        bands.clear()
+        calls.clear()
         assert np.array_equal(process_blocks(blocks, cells, workers=workers), baseline)
-        if pool_size is None:
-            assert pool_sizes == [] and bands == []
-        else:
-            assert pool_sizes == [pool_size]
-            assert bands == view_bands
+        assert calls == [(threads, view_bands)]
 
 
 def test_a_stack_of_one_band_starts_no_pool(monkeypatch, inline_pool):
     # 1000 blocks are one band of the (4000, 4) view, so even two workers
-    # on two CPUs start no thread
-    pool_sizes, bands = inline_pool
+    # on two CPUs use no helper
+    calls = inline_pool
     monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
     blocks = _blocks(1000, seed=14)
     cell = checkerboard_cell()
     out = process_blocks(blocks, cell, workers=2)
-    assert pool_sizes == [] and bands == []
+    assert calls == [(1, [(0, 1000)])]
     assert np.array_equal(out, watermark.embed_image(blocks.reshape(-1, 4), cell).reshape(-1, 4, 4))
 
 

@@ -126,6 +126,26 @@ def test_watermark_validation():
         write_watermark(np.zeros((4, 5), dtype=np.uint8))
 
 
+def test_watermark_values_are_checked_once_by_the_right_reader():
+    # maxval <= 2 leaves the {0, 1, 2} check to read_pgm's range check;
+    # a larger maxval admits 3..maxval, which the ternary check rejects
+    for header, message in (
+        (b"P5\n4 4\n2\n", r"PGM pixel value out of range \[0, 2\]"),
+        (b"P5\n4 4\n1\n", r"PGM pixel value out of range \[0, 1\]"),
+        (b"P5\n4 4\n255\n", r"watermark values must be in \{0, 1, 2\}, found 3"),
+        (b"P5\n4 4\n3\n", r"watermark values must be in \{0, 1, 2\}, found 3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            read_watermark(header + bytes([0, 1, 2, 3] * 4))
+    plain = b" 0 1 2 3" * 4
+    with pytest.raises(ValueError, match=r"PGM pixel value out of range \[0, 2\]"):
+        read_watermark(b"P2\n4 4\n2\n" + plain)
+    with pytest.raises(ValueError, match=r"watermark values must be in \{0, 1, 2\}, found 3"):
+        read_watermark(b"P2\n4 4\n255\n" + plain)
+    cell = checkerboard_cell()
+    assert np.array_equal(read_watermark(b"P5\n4 4\n255\n" + cell.tobytes()), cell)
+
+
 def test_pad_to_multiple_edge_replication():
     img = np.array([[1, 2], [3, 4]], dtype=np.uint8)
     padded = pad_to_multiple(img)

@@ -1,8 +1,14 @@
 """Embedding pipeline, extraction, verification and report serialization."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -305,6 +311,220 @@ def test_an_error_in_a_band_surfaces_unchanged(failing_bands):
         with pytest.raises(MemoryError) as info:
             route()
         assert info.value is failing_bands
+
+
+# ------------------------------------------------------------- band driver
+
+# Run in a fresh interpreter: importing the package and calls that run on
+# one thread (one CPU, one worker, one band) start no thread and no pool.
+_ONE_THREAD_CALLS = """
+import os, threading
+import numpy as np
+before = threading.active_count()
+import hnttmark
+from hnttmark import watermark
+from hnttmark.engine import process_blocks
+assert threading.active_count() == before, "import started a thread"
+rng = np.random.RandomState(30)
+img = rng.randint(0, 256, (1024, 1024), dtype=np.uint8)  # 4 bands
+small = img[:64, :64]  # 1 band
+cell = watermark.checkerboard_cell()
+process_blocks(img.reshape(-1, 4, 4), cell, workers=1)
+process_blocks(small.reshape(-1, 4, 4), cell, workers=8)
+watermark.verify(small, small, cell)
+watermark.extract_image(small, small)
+os.cpu_count = lambda: 1
+watermark.embed_image(img, cell)
+watermark.verify(img, img, img % 3)
+assert watermark._pool is None, "a one-thread call built the pool"
+assert threading.active_count() == before, "a one-thread call started a thread"
+print("ok")
+"""
+
+
+def test_import_and_one_thread_calls_start_no_thread():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(watermark.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _ONE_THREAD_CALLS], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def _count_pools(monkeypatch):
+    """Record the thread count of every helper pool built from now on."""
+    built = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(watermark, "ThreadPoolExecutor", Counted)
+    return built
+
+
+def test_many_multi_band_calls_build_the_pool_once(monkeypatch):
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)  # one block row per band
+    monkeypatch.setattr(watermark, "_pool", None)
+    built = _count_pools(monkeypatch)
+    rng = np.random.RandomState(32)
+    img = rng.randint(0, 256, (32, 16), dtype=np.uint8)
+    grid = rng.randint(0, 3, img.shape, dtype=np.uint8)
+    try:
+        for _ in range(3):
+            embed_image(img, checkerboard_cell())
+            embed_image(img, grid)
+            extract_image(img, img)
+            verify(img, img, grid)
+            process_blocks(img.reshape(-1, 4, 4), checkerboard_cell(), workers=2)
+        assert built == [2]  # os.cpu_count() - 1 helpers
+    finally:  # shut down this test's pool; the process's own comes back
+        if watermark._pool is not None:
+            watermark._pool.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_its_own_pool(monkeypatch):
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
+    rng = np.random.RandomState(31)
+    img = rng.randint(0, 256, (64, 64), dtype=np.uint8)
+    suspect = embed_image(img, checkerboard_cell())
+    suspect[5, 7] ^= 1
+    want = verify(img, suspect, checkerboard_cell()).distances  # builds the parent's pool
+    assert watermark._pool is not None
+    built = _count_pools(monkeypatch)
+    pid = os.fork()
+    if pid == 0:  # the child: report through the exit status only
+        status = 1
+        try:
+            if watermark._pool is None:
+                got = verify(img, suspect, checkerboard_cell()).distances
+                verify(img, suspect, checkerboard_cell())  # reuses the child's pool
+                status = 0 if np.array_equal(got, want) and built == [1] else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done and os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_a_band_error_propagates_once_every_band_is_done(monkeypatch):
+    # two one-row bands on two threads: the caller runs band 0, a helper band 1
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
+    errors = {0: ValueError("caller's band"), 1: MemoryError("helper's band")}
+    for failing, want in (({0}, errors[0]), ({1}, errors[1]), ({0, 1}, errors[0])):
+        finished = []
+
+        def work(lo, hi):
+            if lo in failing:
+                raise errors[lo]
+            time.sleep(0.2)  # a slow sibling
+            finished.append(lo)
+
+        with pytest.raises(type(want)) as info:
+            watermark._run_bands(work, 2, watermark._BAND_PIXELS)
+        assert info.value is want
+        assert finished == sorted({0, 1} - failing)
+
+
+def test_a_helper_that_cannot_start_fails_the_call_after_the_started_ones(monkeypatch):
+    # three one-row bands on three threads: helper 1 starts, helper 2's
+    # submit raises, and the call raises only once helper 1's band is done
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 3)
+    error = RuntimeError("can't start new thread")
+    pool = ThreadPoolExecutor(1)
+
+    class FailingSecondSubmit:
+        submitted = 0
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            if self.submitted > 1:
+                raise error
+            return pool.submit(fn, *args)
+
+    helpers = FailingSecondSubmit()
+    monkeypatch.setattr(watermark, "_helper_pool", lambda threads: helpers)
+    finished = []
+
+    def work(lo, hi):
+        time.sleep(0.2)
+        finished.append(lo)
+
+    try:
+        with pytest.raises(RuntimeError) as info:
+            watermark._run_bands(work, 3, watermark._BAND_PIXELS)
+        finished_at_raise = list(finished)
+    finally:
+        pool.shutdown()
+    assert info.value is error
+    assert finished_at_raise == [1]
+
+
+def _race(target, threads: int) -> None:
+    """Start `threads` threads on target at once, with frequent thread
+    switches, and check that they all finish within a minute."""
+    start = threading.Barrier(threads)
+
+    def run(i):
+        start.wait(timeout=30)
+        target(i)
+
+    racers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in racers:
+            t.start()
+        for t in racers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in racers)
+
+
+def test_racing_threads_build_one_pool(monkeypatch):
+    monkeypatch.setattr(watermark, "_pool", None)
+    built = _count_pools(monkeypatch)
+    pools = []
+    try:
+        _race(lambda i: pools.append(watermark._helper_pool(1)), 16)
+    finally:
+        if watermark._pool is not None:
+            watermark._pool.shutdown()
+    assert built == [1] and len(pools) == 16 and all(p is watermark._pool for p in pools)
+
+
+def test_concurrent_calls_match_serial_ones(monkeypatch):
+    # more calling threads than CPUs share the helper pool; each call gets
+    # what a serial call gives
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(watermark, "_BAND_PIXELS", 4 * 4 * 128)  # 4 block rows per band
+    rng = np.random.RandomState(33)
+    img = rng.randint(0, 256, (128, 128), dtype=np.uint8)
+    grid = rng.randint(0, 3, img.shape, dtype=np.uint8)
+    suspect = embed_image(img, grid)
+    suspect[rng.randint(0, 128, 50), rng.randint(0, 128, 50)] += 1
+    routes = {
+        "verify": lambda: verify(img, suspect, grid).distances,
+        "verify cell": lambda: verify(img, suspect, checkerboard_cell()).distances,
+        "embed": lambda: embed_image(img, grid),
+        "embed cell": lambda: embed_image(img, checkerboard_cell()),
+    }
+    want = {name: route() for name, route in routes.items()}
+    names = list(routes) * 2
+    got = {}
+    _race(lambda i: got.setdefault(i, [routes[names[i]]() for _ in range(10)]), len(names))
+    assert sorted(got) == list(range(len(names)))
+    for i, results in got.items():
+        assert all(np.array_equal(r, want[names[i]]) for r in results), names[i]
 
 
 # ----------------------------------------------------------------- pattern
