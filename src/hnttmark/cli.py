@@ -229,10 +229,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
+    except (_UsageError, ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from .imageio import as_pixels, as_ternary
-from .watermark import _embed, checkerboard_cell
+from .imageio import as_pixels
+from .watermark import _embed, _pattern_cells, checkerboard_cell
 
 
 def _as_block_stack(blocks) -> np.ndarray:
@@ -27,16 +27,6 @@ def _as_block_stack(blocks) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise ValueError("expected a stack of 4x4 blocks, got shape %s" % (arr.shape,))
     return as_pixels(arr)
-
-
-def _as_cells(pattern, count: int) -> np.ndarray:
-    arr = np.asarray(pattern)
-    if arr.shape != (4, 4) and arr.shape != (count, 4, 4):
-        raise ValueError(
-            "watermark must be a single 4x4 cell or one cell per block (%d, 4, 4), got shape %s"
-            % (count, arr.shape)
-        )
-    return as_ternary(arr)
 
 
 def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
@@ -56,7 +46,7 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
         raise ValueError("workers must be >= 1, got %d" % workers)
     stack = _as_block_stack(blocks)
     n = stack.shape[0]
-    cells = _as_cells(pattern, n)
+    cells = _pattern_cells(pattern, (n, 4, 4), "one cell per block (%d, 4, 4)" % n)
     return _embed(stack.reshape(-1, 4), cells.reshape(-1, 4), workers).reshape(n, 4, 4)
 
 

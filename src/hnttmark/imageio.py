@@ -7,6 +7,14 @@ height, and a newline-terminated header:
 
     P5\\n<width> <height>\\n255\\n<width*height raw bytes>
 
+The reader takes Netpbm's token grammar.  Header fields (magic, width,
+height, maxval) and P2 samples are separated by runs of whitespace
+(space, \\t, \\r, \\n, \\v, \\f) and '#' comments; a comment runs to the
+end of its line and may stand wherever whitespace may, between header
+fields and between P2 samples.  Numbers are ASCII decimal digits only.
+Exactly one whitespace byte follows maxval before a P5 raster, and no
+comment may stand there; only whitespace may follow the raster.
+
 Watermark patterns use the same container with maxval 2; every sample
 must be a GF(3) value in {0, 1, 2}.  Images are numpy uint8 arrays of
 shape (height, width).
@@ -16,8 +24,12 @@ import re
 
 import numpy as np
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
-_COMMENT_RE = re.compile(rb"#[^\n]*")
+_WHITESPACE = b" \t\r\n\x0b\x0c"  # what bytes.split() and \s in a bytes pattern take
+_COMMENT = rb"#[^\n]*"
+_COMMENT_RE = re.compile(_COMMENT)
+# one header field: skip whitespace and comments, then take the bytes up
+# to the next whitespace or '#' (none left: an empty group)
+_TOKEN_RE = re.compile(rb"(?:\s|%s)*([^\s#]*)" % _COMMENT)
 _RANGE_ERROR = "PGM pixel value out of range [0, %d]"
 
 
@@ -68,49 +80,34 @@ def check_multiple_of_4(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#' comment runs to end of line
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            break
-    if pos >= n:
-        raise ValueError("truncated PGM header")
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], pos
-
-
-def _decimal(token: bytes) -> int:
-    """Parse ASCII decimal digits; int() alone also takes '+', '-' and '_'."""
-    if not token.isdigit():
-        raise ValueError("not a decimal integer: %r" % token)
-    return int(token)
-
-
-def _header_int(data: bytes, pos: int, name: str) -> tuple[int, int]:
-    token, pos = _next_token(data, pos)
-    try:
-        return _decimal(token), pos
-    except ValueError:
-        raise ValueError("malformed PGM header: bad %s %r" % (name, token)) from None
+def _decimal(token: bytes, message: str) -> int:
+    """Parse ASCII decimal digits, or raise ValueError(message).  int()
+    alone also takes '+', '-' and '_', and refuses more digits than
+    sys.get_int_max_str_digits() with its own message."""
+    if token.isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ValueError(message)
 
 
 def _header(data: bytes) -> tuple[bytes, int, int, int, int]:
     """The validated header of a PGM: magic, width, height, maxval, and
     the offset just past the maxval token."""
-    magic, pos = _next_token(data, 0)
-    if magic not in (b"P2", b"P5"):
-        raise ValueError("not a PGM image (expected P2 or P5 magic, got %r)" % magic)
-    width, pos = _header_int(data, pos, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval, pos = _header_int(data, pos, "maxval")
+    fields, pos = [], 0
+    for name in ("magic", "width", "height", "maxval"):
+        match = _TOKEN_RE.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise ValueError("truncated PGM header")
+        if name != "magic":
+            fields.append(_decimal(token, "malformed PGM header: bad %s %r" % (name, token)))
+        elif token in (b"P2", b"P5"):
+            fields.append(token)
+        else:
+            raise ValueError("not a PGM image (expected P2 or P5 magic, got %r)" % token)
+    magic, width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise ValueError("invalid PGM dimensions %dx%d" % (width, height))
     if maxval > 255:
@@ -145,10 +142,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     tokens = _COMMENT_RE.sub(b"", data[pos:]).split()
     if len(tokens) != count:
         raise ValueError("expected %d pixel values in plain PGM, found %d" % (count, len(tokens)))
-    try:
-        values = [_decimal(t) for t in tokens]
-    except ValueError:
-        raise ValueError("malformed plain PGM pixel value") from None
+    values = [_decimal(t, "malformed plain PGM pixel value") for t in tokens]
     if any(v > maxval for v in values):
         raise ValueError(_RANGE_ERROR % maxval)
     return np.array(values, dtype=np.uint8).reshape(height, width)

@@ -186,16 +186,13 @@ def extract_block(original, suspect) -> list[list[int]]:
     return [[(t_susp[i][k] - t_orig[i][k]) % 3 for k in range(4)] for i in range(4)]
 
 
-def _pattern_cells(pattern, shape: tuple) -> np.ndarray:
-    """Validate a pattern as a 4x4 cell or a full grid of the image's
-    shape and return it as uint8 in image layout."""
+def _pattern_cells(pattern, shape: tuple, shape_text: str) -> np.ndarray:
+    """Validate a pattern as a 4x4 cell or an array of `shape`, named by
+    `shape_text` in the error, and return it as uint8."""
     arr = np.asarray(pattern)
     if arr.shape == (4, 4) or arr.shape == shape:
         return as_ternary(arr)
-    raise ValueError(
-        "watermark pattern must be a 4x4 cell or %dx%d like the image, got shape %s"
-        % (shape[1], shape[0], arr.shape)
-    )
+    raise ValueError("watermark pattern must be a 4x4 cell or %s, got shape %s" % (shape_text, arr.shape))
 
 
 def _row_codes(a: np.ndarray) -> np.ndarray:
@@ -369,7 +366,7 @@ def embed_image(image, pattern) -> np.ndarray:
     every 4x4 tile in any order.
     """
     img = check_multiple_of_4(as_gray(image), "image")
-    return _embed(img, _pattern_cells(pattern, img.shape))
+    return _embed(img, _pattern_cells(pattern, img.shape, "%dx%d like the image" % img.shape[::-1]))
 
 
 def _image_pair(original, suspect) -> tuple[np.ndarray, np.ndarray]:
@@ -552,7 +549,7 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     if threshold < 0:
         raise ValueError("threshold must be >= 0, got %d" % threshold)
     orig, susp = _image_pair(original, suspect)
-    cells = _pattern_cells(reference, orig.shape)
+    cells = _pattern_cells(reference, orig.shape, "%dx%d like the image" % orig.shape[::-1])
     h, w = orig.shape
     distances = np.empty((h // 4, w // 4), dtype=np.uint8)
 

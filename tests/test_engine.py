@@ -1,6 +1,7 @@
 """Parallel block engine: determinism, reference equivalence, benchmark math."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,17 +96,18 @@ def test_tiled_cell_broadcasts_over_blocks():
 
 
 def test_process_blocks_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
         process_blocks(_blocks(4), checkerboard_cell(), workers=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("expected a stack of 4x4 blocks, got shape (4, 3, 4)")):
         process_blocks(np.zeros((4, 3, 4), dtype=np.uint8), checkerboard_cell())
-    with pytest.raises(ValueError):
+    message = "watermark pattern must be a 4x4 cell or one cell per block (4, 4, 4), got shape (3, 4, 4)"
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         process_blocks(_blocks(4), np.zeros((3, 4, 4), dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("watermark values must be in {0, 1, 2}, found 9")):
         process_blocks(_blocks(4), np.full((4, 4), 9, dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("image pixels must be in [0, 255]")):
         process_blocks(np.full((4, 4, 4), 300, dtype=np.int64), checkerboard_cell())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="image pixels must be integers, got dtype float32"):
         process_blocks(np.zeros((4, 4, 4), dtype=np.float32), checkerboard_cell())
 
 

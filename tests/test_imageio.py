@@ -81,6 +81,67 @@ def test_malformed_inputs():
             read_pgm(data)
 
 
+_DIGITS = b"9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "truncated PGM header"),
+        (b" \t# only a comment\n", "truncated PGM header"),
+        (b"P5 1 1", "truncated PGM header"),
+        (b"P5 1 1 # a comment with no newline swallows 255 \x00", "truncated PGM header"),
+        (b"P6\n1 1\n255\n\x00", "not a PGM image (expected P2 or P5 magic, got b'P6')"),
+        (b"P5\nx 1\n255\n\x00", "malformed PGM header: bad width b'x'"),
+        (b"P5\n-1 1\n255\n\x00", "malformed PGM header: bad width b'-1'"),
+        (b"P5\n+1 1\n255\n\x00", "malformed PGM header: bad width b'+1'"),
+        (b"P5 " + _DIGITS + b" 1 255\n\x00", "malformed PGM header: bad width %r" % _DIGITS),
+        (b"P5 1 1_0 255\n\x00", "malformed PGM header: bad height b'1_0'"),
+        ("P5 1 \u0661 255\n\x00".encode(), "malformed PGM header: bad height %r" % "\u0661".encode()),
+        (b"P2\n4 1\n2_5_5\n1_0 +2 0 1_1\n", "malformed PGM header: bad maxval b'2_5_5'"),
+        (b"P5 0 1 255\n", "invalid PGM dimensions 0x1"),
+        (b"P5 1 0 255\n", "invalid PGM dimensions 1x0"),
+        (b"P5\n1 1\n65535\n\x00\x00", "unsupported PGM maxval 65535 (only <= 255 handled)"),
+        (b"P5\n1 1\n0\n\x00", "invalid PGM maxval 0"),
+        (b"P5\n1 1\n255", "malformed PGM header: missing separator before pixel data"),
+        (b"P5 1 1 255#c\n\x00", "malformed PGM header: missing separator before pixel data"),
+        (b"P5\x0b2\x0c1\x0b255\x0c\x00", "truncated PGM pixel data: expected 2 bytes, got 1"),
+        (b"P5\n2 2\n255\n" + b"\x00" * 5, "trailing data after PGM raster"),
+        (b"P5 1 1 255\n\x00\n# no comment after the raster\n", "trailing data after PGM raster"),
+        (b"P5 2 1 2\n\x02\x03", "PGM pixel value out of range [0, 2]"),
+        (b"P2\n1 1\n10\n11", "PGM pixel value out of range [0, 10]"),
+        (b"P2\n2 1\n255\n7", "expected 2 pixel values in plain PGM, found 1"),
+        (b"P2\x0c2\x0b1\x0c255\x0b7\x0c8\x0b9", "expected 2 pixel values in plain PGM, found 3"),
+        (b"P2\n4 1\n255\n1_0 +2 0 1_1\n", "malformed plain PGM pixel value"),
+        (b"P2\n1 1\n255\n-0\n", "malformed plain PGM pixel value"),
+        ("P2\n1 1\n255\n\u0663\n".encode(), "malformed plain PGM pixel value"),
+        (b"P2 1 1 255 " + _DIGITS, "malformed plain PGM pixel value"),
+    ],
+)
+def test_reader_messages(data, message):
+    with pytest.raises(ValueError) as exc:
+        read_pgm(data)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        read_watermark(data)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5 4 4 3\n" + b"\x03" * 16, "watermark values must be in {0, 1, 2}, found 3"),
+        (b"P2 4 4 255 " + b"0 " * 15 + b"200", "watermark values must be in {0, 1, 2}, found 200"),
+        (b"P5 4 2 2\n" + b"\x00" * 8, "watermark dimensions 4x2 are not multiples of 4"),
+        (b"P2 2 4 2" + b" 1" * 8, "watermark dimensions 2x4 are not multiples of 4"),
+    ],
+)
+def test_watermark_reader_messages(data, message):
+    with pytest.raises(ValueError) as exc:
+        read_watermark(data)
+    assert str(exc.value) == message
+
+
 def test_image_validation():
     with pytest.raises(ValueError):
         write_pgm(np.zeros((2, 2), dtype=np.float64))  # non-integer pixels

@@ -274,3 +274,36 @@ def test_read_pgm_parses_or_raises_value_error(data):
     except ValueError:
         return
     assert isinstance(img, np.ndarray) and img.ndim == 2 and img.dtype == np.uint8
+
+
+_WHITESPACE = [bytes([c]) for c in b" \t\r\n\x0b\x0c"]
+# a run of whitespace bytes and '#' comments, which end at a newline
+_SEPARATOR = st.lists(
+    st.one_of(st.sampled_from(_WHITESPACE), st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")),
+    min_size=1,
+    max_size=4,
+).map(b"".join)
+
+
+@settings(max_examples=300)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 4), st.integers(1, 5))), st.sampled_from([b"P5", b"P2"]), st.data())
+def test_pgm_separators_read_like_single_spaces(img, magic, data):
+    # whitespace and comments may stand between header fields and between
+    # plain samples; a P5 raster follows exactly one whitespace byte
+    maxval = data.draw(st.integers(max(int(img.max()), 1), 255))
+    tokens = [magic] + [b"%d" % v for v in (img.shape[1], img.shape[0], maxval)]
+    if magic == b"P2":
+        tokens += [b"%d" % v for v in img.ravel()]
+    spelt = tokens[0]
+    for token in tokens[1:]:
+        spelt += data.draw(_SEPARATOR) + token
+    if magic == b"P5":
+        single = b" ".join(tokens) + b" " + img.tobytes()
+        spelt += data.draw(st.sampled_from(_WHITESPACE)) + img.tobytes()
+        spelt += data.draw(st.lists(st.sampled_from(_WHITESPACE), max_size=3).map(b"".join))
+    else:
+        single = b" ".join(tokens)
+        spelt += data.draw(st.one_of(st.just(b""), _SEPARATOR))
+    for pgm in (single, spelt):
+        out = read_pgm(pgm)
+        assert out.dtype == np.uint8 and np.array_equal(out, img)
