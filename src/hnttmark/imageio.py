@@ -21,6 +21,7 @@ shape (height, width).
 """
 
 import re
+import sys
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def _header(data: bytes) -> tuple[bytes, int, int, int, int]:
         else:
             raise ValueError("not a PGM image (expected P2 or P5 magic, got %r)" % token)
     magic, width, height, maxval = fields
-    if width <= 0 or height <= 0:
+    if width <= 0 or height <= 0 or width * height > sys.maxsize:  # no array holds more
         raise ValueError("invalid PGM dimensions %dx%d" % (width, height))
     if maxval > 255:
         raise ValueError("unsupported PGM maxval %d (only <= 255 handled)" % maxval)
@@ -148,16 +149,16 @@ def read_pgm(data: bytes) -> np.ndarray:
     return np.array(values, dtype=np.uint8).reshape(height, width)
 
 
-def _pgm_parts(image) -> tuple[bytes, np.ndarray]:
-    """The P5 header and the C-ordered raster of a grayscale image."""
-    img = as_gray(image)
-    height, width = img.shape
-    return b"P5\n%d %d\n255\n" % (width, height), np.ascontiguousarray(img)
+def _pgm_parts(arr: np.ndarray, maxval: int) -> tuple[bytes, np.ndarray]:
+    """The P5 header and the C-ordered raster of a validated 2-D uint8
+    array; a save writes them as they are, with no joined copy."""
+    height, width = arr.shape
+    return b"P5\n%d %d\n%d\n" % (width, height, maxval), np.ascontiguousarray(arr)
 
 
 def write_pgm(image) -> bytes:
     """Serialize an image as binary PGM (P5, maxval 255)."""
-    return b"".join(_pgm_parts(image))
+    return b"".join(_pgm_parts(as_gray(image), 255))
 
 
 def read_watermark(data: bytes) -> np.ndarray:
@@ -174,13 +175,17 @@ def read_watermark(data: bytes) -> np.ndarray:
     return check_multiple_of_4(pattern, "watermark")
 
 
-def write_watermark(pattern) -> bytes:
-    """Serialize a ternary pattern as binary PGM with maxval 2."""
+def _watermark_parts(pattern) -> tuple[bytes, np.ndarray]:
+    """_pgm_parts of a validated ternary pattern, with maxval 2."""
     arr = as_ternary(pattern)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("watermark pattern must be a non-empty 2-D integer array")
-    h, w = check_multiple_of_4(arr, "watermark").shape
-    return b"P5\n%d %d\n2\n" % (w, h) + arr.tobytes()
+    return _pgm_parts(check_multiple_of_4(arr, "watermark"), 2)
+
+
+def write_watermark(pattern) -> bytes:
+    """Serialize a ternary pattern as binary PGM with maxval 2."""
+    return b"".join(_watermark_parts(pattern))
 
 
 def load_pgm(path) -> np.ndarray:
@@ -188,11 +193,13 @@ def load_pgm(path) -> np.ndarray:
         return read_pgm(fh.read())
 
 
-def save_pgm(path, image) -> None:
-    header, raster = _pgm_parts(image)  # written as is: no joined copy of the raster
+def _save(path, parts: tuple[bytes, np.ndarray]) -> None:
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(raster)
+        fh.writelines(parts)
+
+
+def save_pgm(path, image) -> None:
+    _save(path, _pgm_parts(as_gray(image), 255))
 
 
 def load_watermark(path) -> np.ndarray:
@@ -201,8 +208,7 @@ def load_watermark(path) -> np.ndarray:
 
 
 def save_watermark(path, pattern) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_watermark(pattern))
+    _save(path, _watermark_parts(pattern))
 
 
 def pad_to_multiple(image) -> np.ndarray:

@@ -32,12 +32,10 @@ stack.  The driver cuts the work into contiguous bands of whole block
 rows, about _BAND_PIXELS pixels each so that a band's temporaries stay in
 cache, and runs them on min(threads or os.cpu_count(), os.cpu_count(),
 bands) threads; only the engine passes threads.  The calling thread works
-its share of the bands, and the rest go to one helper pool per process,
-built on first use and kept (a forked child drops it and builds its own);
-one thread runs every band inline.  numpy releases the interpreter lock
-in the gathers and the arithmetic, so bands overlap.  verify counts each
-band's distances straight into the grid and never builds the extracted
-image.
+its share of the bands and helper threads the rest (see _run_bands).
+numpy releases the interpreter lock in the gathers and the arithmetic, so
+bands overlap.  verify counts each band's distances straight into the
+grid and never builds the extracted image.
 
 Every image route runs T through one kernel, _transform, which performs
 the paper's butterflies as table lookups on packed rows.  It works on an
@@ -77,7 +75,6 @@ the block route bit for bit (the test suite holds them to that).
 """
 
 import os
-import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -266,29 +263,15 @@ def _band_rows(row_pixels: int) -> int:
     return max(1, _BAND_PIXELS // row_pixels)
 
 
-# The band helper pool of _run_bands: built on first use, then kept.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _helper_pool(threads: int) -> ThreadPoolExecutor:
-    """The process's pool of band helper threads, built with `threads`
-    threads on first use and kept; a forked child starts without one."""
+def _new_pool() -> None:
+    """Build the process's pool of band helper threads (see _run_bands)."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=threads, thread_name_prefix="hnttmark-band")
-        return _pool
+    _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="hnttmark-band")
 
 
-def _forget_pool() -> None:
-    """Drop the parent's pool in a forked child, whose copy has no threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> None:
@@ -297,12 +280,16 @@ def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> 
 
     The bands run on size = min(threads or os.cpu_count(), os.cpu_count(),
     bands) threads: the calling thread runs bands[0::size] and size - 1
-    tasks on the process's helper pool (os.cpu_count() - 1 threads, built
-    on first use) run bands[k::size].  With size 1 every band runs inline,
-    in order, and no pool is built.  No band waits on the pool, so calls
-    from many threads share it without deadlock.  The call returns or
-    raises only once all its bands are done; an exception raised in a band
-    propagates unchanged, the caller's own first, then the first helper's.
+    tasks on the helper pool run bands[k::size].  With size 1 every band
+    runs inline, in order.  The helper pool, _pool, is one per process with
+    max(1, os.cpu_count() - 1) threads.  _new_pool builds it at import and
+    again in a child made with os.fork(), whose inherited copy would never
+    run a task.  It starts a thread only when a task is submitted, so
+    importing the package and one-thread calls start none, and the threads
+    it starts are kept.  No band waits on the pool, so calls from many
+    threads share it without deadlock.  The call returns or raises only
+    once all its bands are done; an exception raised in a band propagates
+    unchanged, the caller's own first, then the first helper's.
     """
     step = _band_rows(row_pixels)
     bands = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
@@ -316,7 +303,7 @@ def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> 
     helpers = []
     try:
         for k in range(1, size):
-            helpers.append(_helper_pool(cpus - 1).submit(share, k))
+            helpers.append(_pool.submit(share, k))
         share(0)
     finally:
         wait(helpers)

@@ -45,7 +45,7 @@ def inline_pool(monkeypatch):
         run_bands(band, *args)
         calls.append((1 + len(helpers), sorted(ran)))
 
-    monkeypatch.setattr(watermark, "_helper_pool", lambda threads: InlinePool())
+    monkeypatch.setattr(watermark, "_pool", InlinePool())
     monkeypatch.setattr(watermark, "_run_bands", recorded)
     return calls
 

@@ -251,6 +251,19 @@ def test_pgm_integers_must_be_ascii_decimal(tmp_path, capsys):
     assert not (tmp_path / "o.pgm").exists()
 
 
+def test_a_pgm_too_large_for_any_array_exits_1_with_one_line(tmp_path, capsys):
+    digits = b"9" * 4300  # the product of two such dimensions has 8600 digits
+    original = tmp_path / "original.pgm"
+    _make_image(original)
+    for magic in (b"P2", b"P5"):
+        suspect = tmp_path / "suspect.pgm"
+        suspect.write_bytes(b"%s %s %s 255 1" % (magic, digits, digits))
+        args = ["verify", "--original", str(original), "--suspect", str(suspect), "--pattern", "checker"]
+        assert main(args) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: invalid PGM dimensions %sx%s\n" % (digits.decode(), digits.decode())
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["embed", "--input", "x.pgm"]) == EXIT_ERROR  # missing --output
     assert main(["nosuchcommand"]) == EXIT_ERROR

@@ -1,9 +1,19 @@
 """PGM parsing/serialization, watermark files and padding."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from hnttmark.imageio import pad_to_multiple, read_pgm, read_watermark, save_pgm, write_pgm, write_watermark
+from hnttmark.imageio import (
+    pad_to_multiple,
+    read_pgm,
+    read_watermark,
+    save_pgm,
+    save_watermark,
+    write_pgm,
+    write_watermark,
+)
 from hnttmark.watermark import checkerboard_cell, embed_image, extract_image, verify
 
 
@@ -24,6 +34,14 @@ def test_save_pgm_writes_the_bytes_of_write_pgm(tmp_path):
     for view in (img, np.asfortranarray(img), np.ascontiguousarray(img.T).T, np.repeat(img, 2, axis=1)[:, ::2]):
         save_pgm(path, view)
         assert path.read_bytes() == write_pgm(img)
+
+
+def test_save_watermark_writes_the_bytes_of_write_watermark(tmp_path):
+    grid = np.random.RandomState(10).randint(0, 3, (8, 12), dtype=np.uint8)
+    path = tmp_path / "wm.pgm"
+    for view in (grid, np.asfortranarray(grid), grid.astype(np.int64), np.repeat(grid, 2, axis=1)[:, ::2]):
+        save_watermark(path, view)
+        assert path.read_bytes() == write_watermark(grid)
 
 
 def test_round_trip_odd_shapes():
@@ -82,6 +100,9 @@ def test_malformed_inputs():
 
 
 _DIGITS = b"9" * 5000  # more digits than int() converts by default
+# the most digits int() converts by default: each dimension parses, and
+# their product has too many digits to format
+_HUGE = b"9" * 4300
 
 
 @pytest.mark.parametrize(
@@ -101,6 +122,18 @@ _DIGITS = b"9" * 5000  # more digits than int() converts by default
         (b"P2\n4 1\n2_5_5\n1_0 +2 0 1_1\n", "malformed PGM header: bad maxval b'2_5_5'"),
         (b"P5 0 1 255\n", "invalid PGM dimensions 0x1"),
         (b"P5 1 0 255\n", "invalid PGM dimensions 1x0"),
+        (b"P5 1 %d 255 1" % (sys.maxsize + 1), "invalid PGM dimensions 1x%d" % (sys.maxsize + 1)),
+        (b"P5 1 %d 255 1" % sys.maxsize, "truncated PGM pixel data: expected %d bytes, got 1" % sys.maxsize),
+        pytest.param(
+            b"P2 %s %s 255 1" % (_HUGE, _HUGE),
+            "invalid PGM dimensions %sx%s" % (_HUGE.decode(), _HUGE.decode()),
+            id="P2-dimensions-past-maxsize",
+        ),
+        pytest.param(
+            b"P5 %s %s 255 1" % (_HUGE, _HUGE),
+            "invalid PGM dimensions %sx%s" % (_HUGE.decode(), _HUGE.decode()),
+            id="P5-dimensions-past-maxsize",
+        ),
         (b"P5\n1 1\n65535\n\x00\x00", "unsupported PGM maxval 65535 (only <= 255 handled)"),
         (b"P5\n1 1\n0\n\x00", "invalid PGM maxval 0"),
         (b"P5\n1 1\n255", "malformed PGM header: missing separator before pixel data"),

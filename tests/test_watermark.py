@@ -316,7 +316,7 @@ def test_an_error_in_a_band_surfaces_unchanged(failing_bands):
 # ------------------------------------------------------------- band driver
 
 # Run in a fresh interpreter: importing the package and calls that run on
-# one thread (one CPU, one worker, one band) start no thread and no pool.
+# one thread (one CPU, one worker, one band) start no thread.
 _ONE_THREAD_CALLS = """
 import os, threading
 import numpy as np
@@ -336,8 +336,8 @@ watermark.extract_image(small, small)
 os.cpu_count = lambda: 1
 watermark.embed_image(img, cell)
 watermark.verify(img, img, img % 3)
-assert watermark._pool is None, "a one-thread call built the pool"
 assert threading.active_count() == before, "a one-thread call started a thread"
+assert not any(t.name.startswith("hnttmark-band") for t in threading.enumerate())
 print("ok")
 """
 
@@ -348,38 +348,22 @@ def test_import_and_one_thread_calls_start_no_thread():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
-def _count_pools(monkeypatch):
-    """Record the thread count of every helper pool built from now on."""
-    built = []
-
-    class Counted(ThreadPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            built.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(watermark, "ThreadPoolExecutor", Counted)
-    return built
-
-
-def test_many_multi_band_calls_build_the_pool_once(monkeypatch):
+def test_many_multi_band_calls_share_one_pool(monkeypatch):
+    helpers = max(1, (os.cpu_count() or 1) - 1)  # the pool's size, fixed at import
+    pool = watermark._pool
     monkeypatch.setattr(watermark.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)  # one block row per band
-    monkeypatch.setattr(watermark, "_pool", None)
-    built = _count_pools(monkeypatch)
     rng = np.random.RandomState(32)
     img = rng.randint(0, 256, (32, 16), dtype=np.uint8)
     grid = rng.randint(0, 3, img.shape, dtype=np.uint8)
-    try:
-        for _ in range(3):
-            embed_image(img, checkerboard_cell())
-            embed_image(img, grid)
-            extract_image(img, img)
-            verify(img, img, grid)
-            process_blocks(img.reshape(-1, 4, 4), checkerboard_cell(), workers=2)
-        assert built == [2]  # os.cpu_count() - 1 helpers
-    finally:  # shut down this test's pool; the process's own comes back
-        if watermark._pool is not None:
-            watermark._pool.shutdown()
+    for _ in range(3):
+        embed_image(img, checkerboard_cell())
+        embed_image(img, grid)
+        extract_image(img, img)
+        verify(img, img, grid)
+        process_blocks(img.reshape(-1, 4, 4), checkerboard_cell(), workers=2)
+    assert watermark._pool is pool
+    assert 1 <= sum(t.name.startswith("hnttmark-band") for t in threading.enumerate()) <= helpers
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -390,17 +374,15 @@ def test_a_forked_child_builds_its_own_pool(monkeypatch):
     img = rng.randint(0, 256, (64, 64), dtype=np.uint8)
     suspect = embed_image(img, checkerboard_cell())
     suspect[5, 7] ^= 1
-    want = verify(img, suspect, checkerboard_cell()).distances  # builds the parent's pool
-    assert watermark._pool is not None
-    built = _count_pools(monkeypatch)
+    want = verify(img, suspect, checkerboard_cell()).distances  # runs a band on a parent's helper
+    parent = watermark._pool
     pid = os.fork()
     if pid == 0:  # the child: report through the exit status only
         status = 1
         try:
-            if watermark._pool is None:
-                got = verify(img, suspect, checkerboard_cell()).distances
-                verify(img, suspect, checkerboard_cell())  # reuses the child's pool
-                status = 0 if np.array_equal(got, want) and built == [1] else 2
+            if watermark._pool is not parent:
+                got = [verify(img, suspect, checkerboard_cell()).distances for _ in range(2)]
+                status = 0 if all(np.array_equal(g, want) for g in got) else 2
         finally:
             os._exit(status)
     deadline = time.monotonic() + 60
@@ -451,7 +433,7 @@ def test_a_helper_that_cannot_start_fails_the_call_after_the_started_ones(monkey
             return pool.submit(fn, *args)
 
     helpers = FailingSecondSubmit()
-    monkeypatch.setattr(watermark, "_helper_pool", lambda threads: helpers)
+    monkeypatch.setattr(watermark, "_pool", helpers)
     finished = []
 
     def work(lo, hi):
@@ -490,18 +472,6 @@ def _race(target, threads: int) -> None:
     assert not any(t.is_alive() for t in racers)
 
 
-def test_racing_threads_build_one_pool(monkeypatch):
-    monkeypatch.setattr(watermark, "_pool", None)
-    built = _count_pools(monkeypatch)
-    pools = []
-    try:
-        _race(lambda i: pools.append(watermark._helper_pool(1)), 16)
-    finally:
-        if watermark._pool is not None:
-            watermark._pool.shutdown()
-    assert built == [1] and len(pools) == 16 and all(p is watermark._pool for p in pools)
-
-
 def test_concurrent_calls_match_serial_ones(monkeypatch):
     # more calling threads than CPUs share the helper pool; each call gets
     # what a serial call gives
@@ -521,7 +491,9 @@ def test_concurrent_calls_match_serial_ones(monkeypatch):
     want = {name: route() for name, route in routes.items()}
     names = list(routes) * 2
     got = {}
+    pool = watermark._pool
     _race(lambda i: got.setdefault(i, [routes[names[i]]() for _ in range(10)]), len(names))
+    assert watermark._pool is pool
     assert sorted(got) == list(range(len(names)))
     for i, results in got.items():
         assert all(np.array_equal(r, want[names[i]]) for r in results), names[i]
