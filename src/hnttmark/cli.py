@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_pattern(args) -> np.ndarray:
-    if getattr(args, "watermark", None):
+    if args.watermark:
         return imageio.load_watermark(args.watermark)
     return watermark.checkerboard_cell()
 

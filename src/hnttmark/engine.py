@@ -126,7 +126,7 @@ def benchmark(
         blocks_processed=blocks_processed,
         elapsed_seconds=elapsed,
         blocks_per_second=blocks_per_second,
-        equivalent_frame_rate=frame_rate_equivalent(blocks_per_second, frame_width, frame_height),
+        equivalent_frame_rate=blocks_per_second / frame_blocks,
         worker_count=workers,
         frame_width=frame_width,
         frame_height=frame_height,

@@ -78,6 +78,7 @@ import os
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,6 +168,7 @@ def decompose(block) -> ResidueDecomposition:
 
 def embed_block(block, w) -> list[list[int]]:
     """Embed one ternary cell into one pixel block (reference route)."""
+    hntt._check_block(w)
     residue, divisible = decompose(block)
     transformed = hntt.special_hntt_2d(residue)
     marked = [[(transformed[i][k] + w[i][k]) % 3 for k in range(4)] for i in range(4)]
@@ -447,9 +449,15 @@ def tamper_regions(flags: np.ndarray) -> list[tuple[int, int, int, int, int]]:
     return list(zip(x0.tolist(), x1.tolist(), rows[roots].tolist(), y1.tolist(), cells.tolist()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TamperReport:
     """Per-block extraction damage and tamper verdicts for one image pair.
+
+    A report is checked once, when it is built: distances must be a 2-D
+    integer array of values 0..16 and threshold must be >= 0, or the
+    constructor raises ValueError.  Its fields cannot be reassigned, so the
+    verdicts are computed once, on first use, and every renderer reads
+    the same grid; do not change the distances array in place either.
 
     to_text is the summary: the grid size, threshold and tampered count,
     then the tampered regions (8-connected groups of flagged blocks) as
@@ -460,7 +468,16 @@ class TamperReport:
     """
 
     threshold: int
-    distances: np.ndarray  # (grid_height, grid_width) uint8 Hamming distances, 0..16
+    distances: np.ndarray  # (grid_height, grid_width) integer Hamming distances, 0..16
+
+    def __post_init__(self):
+        if not isinstance(d := self.distances, np.ndarray) or d.ndim != 2 or d.dtype.kind not in "iu":
+            got = "%s of shape %s" % (getattr(d, "dtype", type(d).__name__), np.shape(d))
+            raise ValueError("distances must be a 2-D integer array, got " + got)
+        if d.size and (d.min() < 0 or d.max() > 16):
+            raise ValueError("distances must be in 0..16, got %d..%d" % (d.min(), d.max()))
+        if self.threshold < 0:
+            raise ValueError("threshold must be >= 0, got %d" % self.threshold)
 
     @property
     def grid_width(self) -> int:
@@ -470,14 +487,14 @@ class TamperReport:
     def grid_height(self) -> int:
         return self.distances.shape[0]
 
-    @property
+    @cached_property
     def tampered(self) -> np.ndarray:
         """Per-block verdicts, distance > threshold (bool, same shape)."""
         return self.distances > self.threshold
 
-    @property
+    @cached_property
     def total_tampered(self) -> int:
-        return int(self.tampered.sum())
+        return int(np.count_nonzero(self.tampered))
 
     def to_dict(self) -> dict:
         return {
@@ -493,30 +510,25 @@ class TamperReport:
         """to_dict encoded as compact JSON, byte for byte what json.dumps
         with separators (",", ":") gives, without building Python lists:
         each list is one gather from a word table with the NULs dropped."""
-        flat = self.distances.ravel()
-        if flat.size and (flat.min() < 0 or flat.max() > 16):
-            raise ValueError("distances must be in 0..16, got %d..%d" % (flat.min(), flat.max()))
-        flags = flat > self.threshold
-        distances = _DISTANCE_WORDS.take(flat).tobytes().translate(None, b"\0")
-        tampered = _VERDICT_WORDS.take(flags).tobytes().translate(None, b"\0")
+        distances = _DISTANCE_WORDS.take(self.distances.ravel()).tobytes().translate(None, b"\0")
+        tampered = _VERDICT_WORDS.take(self.tampered.ravel()).tobytes().translate(None, b"\0")
         return b"".join([
             b'{"grid_width":%d,"grid_height":%d,"threshold":%d,"distances":['
             % (self.grid_width, self.grid_height, self.threshold),
             memoryview(distances)[:-1],
             b'],"tampered":[',
             memoryview(tampered)[:-1],
-            b'],"total_tampered":%d}' % np.count_nonzero(flags),
+            b'],"total_tampered":%d}' % self.total_tampered,
         ])
 
     def to_text(self) -> str:
-        flags = self.tampered
-        regions = tamper_regions(flags)
+        regions = tamper_regions(self.tampered)
         histogram = np.bincount(self.distances.ravel(), minlength=17)
         lines = [
             "grid_width=%d" % self.grid_width,
             "grid_height=%d" % self.grid_height,
             "threshold=%d" % self.threshold,
-            "total_tampered=%d" % np.count_nonzero(flags),
+            "total_tampered=%d" % self.total_tampered,
             "regions=%d" % len(regions),
         ]
         for i, box in enumerate(regions):
@@ -531,10 +543,10 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     distance[b] is the Hamming distance (0..16) between block b's
     extracted cell and the reference cell; the block is flagged when the
     distance exceeds the threshold.  The default threshold 0 flags any
-    damage at all, which is the point of a fragile watermark.
+    damage at all, which is the point of a fragile watermark.  The report
+    checks the threshold when it is built: a negative one raises ValueError
+    after the images and the reference are checked.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0, got %d" % threshold)
     orig, susp = _image_pair(original, suspect)
     cells = _pattern_cells(reference, orig.shape, "%dx%d like the image" % orig.shape[::-1])
     h, w = orig.shape

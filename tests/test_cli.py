@@ -154,6 +154,19 @@ def test_verify_threshold_suppresses_flags(tmp_path):
     assert code == EXIT_TAMPERED
 
 
+def test_verify_negative_threshold_exits_1_with_one_line(tmp_path, capsys):
+    original = tmp_path / "orig.pgm"
+    report = tmp_path / "report.json"
+    _make_image(original, seed=4)
+    argv = ["verify", "--original", str(original), "--suspect", str(original), "--threshold", "-1",
+            "--report", str(report)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: threshold must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
 def test_attack_runs_are_byte_identical(tmp_path, capsys):
     source = tmp_path / "in.pgm"
     out1 = tmp_path / "a.pgm"

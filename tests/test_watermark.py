@@ -1,5 +1,6 @@
 """Embedding pipeline, extraction, verification and report serialization."""
 
+import dataclasses
 import json
 import os
 import random
@@ -109,6 +110,23 @@ def test_embed_constant_block_all_ones_cell():
     expected = _block_of(100)
     expected[0][0] = 101
     assert out == expected
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ([[3] * 4] * 4, "vector values must be in GF(3), got 3"),
+        ([[-1] * 4] * 4, "vector values must be in GF(3), got -1"),
+        ([[0] * 5] * 4, "expected a length-4 vector, got length 5"),
+        ([[0] * 3] * 3, "expected a 4x4 block, got 3 rows"),
+    ],
+    ids=["value-3", "value-minus-1", "4x5", "3x3"],
+)
+def test_embed_block_rejects_a_bad_cell(cell, message):
+    # The cells embed_image rejects: before the check, 3 acted as 0, -1 as 2,
+    # a fifth column was ignored and a 3x3 cell raised IndexError.
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        embed_block(_block_of(100), cell)
 
 
 def test_embed_distortion_bound_exhaustive_per_pixel():
@@ -573,7 +591,7 @@ def test_verify_threshold_semantics():
     assert report.total_tampered == 0  # distance 8 is not > 8
     report = verify(img, img, checkerboard_cell(), threshold=7)
     assert report.total_tampered == 16
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^threshold must be >= 0, got -1$"):
         verify(img, img, checkerboard_cell(), threshold=-1)
 
 
@@ -600,7 +618,52 @@ def test_report_serialization():
 @pytest.mark.parametrize("bad, dtype", [(-1, np.int64), (17, np.int64), (17, np.uint8)],
                          ids=["negative", "above-16", "above-16-uint8"])
 def test_report_json_rejects_distances_outside_0_16(bad, dtype):
-    # np.take would wrap -1 into the word table, so the range is checked first.
-    report = TamperReport(threshold=0, distances=np.array([[0, 3], [bad, 16]], dtype=dtype))
-    with pytest.raises(ValueError, match=r"distances must be in 0\.\.16, got -?\d+\.\.\d+"):
-        report.to_json()
+    # np.take would wrap -1 into to_json's word table, and bincount would grow
+    # to_text's histogram past 17 entries, so the range is checked when the
+    # report is built, before any renderer runs.
+    got = "%d..%d" % (min(bad, 0), max(bad, 16))
+    with pytest.raises(ValueError, match="^%s$" % re.escape("distances must be in 0..16, got " + got)):
+        TamperReport(threshold=0, distances=np.array([[0, 3], [bad, 16]], dtype=dtype))
+
+
+@pytest.mark.parametrize(
+    "distances, message",
+    [
+        (np.array([0, 3, 16]), "distances must be a 2-D integer array, got int64 of shape (3,)"),
+        (np.zeros((2, 2)), "distances must be a 2-D integer array, got float64 of shape (2, 2)"),
+        ([[0, 1], [2, 3]], "distances must be a 2-D integer array, got list of shape (2, 2)"),
+        (np.zeros((2, 2), dtype=bool), "distances must be a 2-D integer array, got bool of shape (2, 2)"),
+    ],
+    ids=["1-D", "float", "list", "bool"],
+)
+def test_report_rejects_distances_that_are_not_a_2d_integer_array(distances, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        TamperReport(threshold=0, distances=distances)
+
+
+def test_report_rejects_a_negative_threshold():
+    with pytest.raises(ValueError, match=r"^threshold must be >= 0, got -1$"):
+        TamperReport(threshold=-1, distances=np.zeros((2, 2), dtype=np.uint8))
+
+
+def test_an_empty_report_is_accepted():
+    report = TamperReport(threshold=0, distances=np.zeros((0, 0), dtype=np.uint8))
+    assert report.total_tampered == 0
+    assert report.to_json() == json.dumps(report.to_dict(), separators=(",", ":")).encode()
+    assert report.to_text().splitlines()[-1] == "distance_histogram=" + " ".join(["0"] * 17)
+
+
+def test_report_verdicts_are_computed_once_and_fields_are_frozen():
+    report = TamperReport(threshold=2, distances=np.array([[0, 3], [16, 2]], dtype=np.uint8))
+    tampered = report.tampered
+    report.to_text()
+    report.to_json()
+    report.to_dict()
+    assert report.tampered is tampered
+    assert report.tampered.tolist() == [[False, True], [True, False]]
+    assert report.total_tampered == 2 and type(report.total_tampered) is int
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.threshold = 20
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.distances = np.zeros((2, 2), dtype=np.uint8)
+    assert report.threshold == 2 and report.total_tampered == 2
