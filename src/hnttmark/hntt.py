@@ -25,11 +25,24 @@ row codes digitwise mod 3 for the column butterflies, and one gather of
 functions here are the reference those routes are tested against and
 stay out of production paths.
 
+Every public function here checks its argument once, by the rule the
+image routes apply (imageio.as_ternary): an array of the expected shape,
+(4,) for a vector and (4, 4) for a block, of an integer dtype, not bool,
+with values in {0, 1, 2}.  Anything else, floats, bools, None, ragged
+lists or a wrong shape included, raises ValueError.  The arithmetic runs
+on the checked values as Python ints, inside unchecked butterflies, and
+every result is a list of Python ints whatever the input's type.
+
 The field is fixed: N=4 and p=3 come from galois, which derives the
 cas table from zeta = j.
 """
 
+from operator import mul
+
+import numpy as np
+
 from .galois import N, cas_table
+from .imageio import as_ternary
 
 
 def build_matrix() -> list[list[int]]:
@@ -51,19 +64,35 @@ _KERNEL = tuple(
 )
 
 
-def _check_vector(x) -> None:
-    if len(x) != 4:
-        raise ValueError("expected a length-4 vector, got length %d" % len(x))
-    for v in x:
-        if not 0 <= v <= 2:
-            raise ValueError("vector values must be in GF(3), got %r" % (v,))
+def _checked(x, shape: tuple, name: str, values=as_ternary) -> list:
+    """x as nested lists of Python ints, checked once: an array of `shape`
+    whose values pass `values` (as_ternary, or imageio.as_pixels for
+    pixels), named `name` in the error.  Anything else raises ValueError."""
+    arr = np.asarray(x)
+    if arr.shape != shape:
+        raise ValueError("%s must have shape %s, got shape %s" % (name, shape, arr.shape))
+    return values(arr, name).tolist()
 
 
-def _check_block(a) -> None:
-    if len(a) != 4:
-        raise ValueError("expected a 4x4 block, got %d rows" % len(a))
-    for row in a:
-        _check_vector(row)
+def _butterfly(x0, x1, x2, x3) -> list[int]:
+    """The two butterfly stages on four GF(3) ints, unchecked.
+
+    Stage 1 pairs (x0,x1) and (x2,x3); stage 2 combines across pairs.
+    The butterfly outputs land directly in H4 row order, so no output
+    permutation is needed for this matrix.
+    """
+    a0 = (x0 + x1) % 3
+    a1 = (x0 - x1) % 3
+    a2 = (x2 + x3) % 3
+    a3 = (x2 - x3) % 3
+    return [(a0 + a2) % 3, (a0 - a2) % 3, (a1 + a3) % 3, (a1 - a3) % 3]
+
+
+def _separable(a) -> list[list[int]]:
+    """H * A * H of a 4x4 block of GF(3) ints, unchecked: _butterfly down
+    each column of A, then along each row of the intermediate."""
+    columns = [_butterfly(*column) for column in zip(*a)]
+    return [_butterfly(*row) for row in zip(*columns)]
 
 
 def hntt_1d(x) -> list[int]:
@@ -71,24 +100,13 @@ def hntt_1d(x) -> list[int]:
 
     The reference implementation the fast path is checked against.
     """
-    _check_vector(x)
+    x = _checked(x, (4,), "vector")
     return [sum(h * v for h, v in zip(row, x)) % 3 for row in H4]
 
 
 def hntt_1d_fast(x) -> list[int]:
-    """Two-stage butterfly transform, multiplication-free.
-
-    Stage 1 pairs (x0,x1) and (x2,x3); stage 2 combines across pairs.
-    The butterfly outputs land directly in H4 row order, so no output
-    permutation is needed for this matrix.
-    """
-    _check_vector(x)
-    x0, x1, x2, x3 = x
-    a0 = (x0 + x1) % 3
-    a1 = (x0 - x1) % 3
-    a2 = (x2 + x3) % 3
-    a3 = (x2 - x3) % 3
-    return [(a0 + a2) % 3, (a0 - a2) % 3, (a1 + a3) % 3, (a1 - a3) % 3]
+    """Two-stage butterfly transform, multiplication-free (_butterfly)."""
+    return _butterfly(*_checked(x, (4,), "vector"))
 
 
 def inverse_hntt_1d(x) -> list[int]:
@@ -97,14 +115,9 @@ def inverse_hntt_1d(x) -> list[int]:
 
 
 def special_hntt_2d(a) -> list[list[int]]:
-    """Separable 2-D transform H * A * H: fast 1-D down the columns of A,
-    then along the rows of the intermediate."""
-    _check_block(a)
-    c0 = hntt_1d_fast([a[0][0], a[1][0], a[2][0], a[3][0]])
-    c1 = hntt_1d_fast([a[0][1], a[1][1], a[2][1], a[3][1]])
-    c2 = hntt_1d_fast([a[0][2], a[1][2], a[2][2], a[3][2]])
-    c3 = hntt_1d_fast([a[0][3], a[1][3], a[2][3], a[3][3]])
-    return [hntt_1d_fast([c0[i], c1[i], c2[i], c3[i]]) for i in range(4)]
+    """Separable 2-D transform H * A * H: the fast 1-D butterflies down the
+    columns of A, then along the rows of the intermediate."""
+    return _separable(_checked(a, (4, 4), "block"))
 
 
 def inverse_special_hntt_2d(b) -> list[list[int]]:
@@ -140,9 +153,5 @@ def full_hntt_2d_direct(a) -> list[list[int]]:
 
     Independent oracle for full_hntt_2d; kept out of production paths.
     """
-    _check_block(a)
-    flat = [v for row in a for v in row]
-    return [
-        [sum([x * w for x, w in zip(flat, _KERNEL[u][v])]) % 3 for v in range(4)]
-        for u in range(4)
-    ]
+    flat = [v for row in _checked(a, (4, 4), "block") for v in row]
+    return [[sum(map(mul, flat, kernel)) % 3 for kernel in row] for row in _KERNEL]

@@ -34,17 +34,18 @@ _TOKEN_RE = re.compile(rb"(?:\s|%s)*([^\s#]*)" % _COMMENT)
 _RANGE_ERROR = "PGM pixel value out of range [0, %d]"
 
 
-def as_pixels(pixels) -> np.ndarray:
+def as_pixels(pixels, name: str = "image") -> np.ndarray:
     """Validate an integer array of 8-bit pixel values and return it as uint8.
 
     Any shape is accepted, empty included (an image, an (n, 4, 4) block
-    stack); callers check the shape they need.
+    stack); callers check the shape they need.  Bools are not integers
+    here.  `name` leads the error message.
     """
     arr = np.asarray(pixels)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("image pixels must be integers, got dtype %s" % arr.dtype)
+    if arr.dtype.kind not in "iu":  # signed or unsigned integers: not bool, not timedelta
+        raise ValueError("%s pixels must be integers, got dtype %s" % (name, arr.dtype))
     if arr.dtype != np.uint8 and arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError("image pixels must be in [0, 255]")
+        raise ValueError("%s pixels must be in [0, 255]" % name)
     return arr.astype(np.uint8, copy=False)
 
 
@@ -56,20 +57,21 @@ def as_gray(image) -> np.ndarray:
     return as_pixels(arr)
 
 
-def as_ternary(pattern) -> np.ndarray:
+def as_ternary(pattern, name: str = "watermark") -> np.ndarray:
     """Validate an integer array of GF(3) values {0, 1, 2} and return it as uint8.
 
     Any shape is accepted, empty included (a 2-D grid, a 4x4 cell, an
-    (n, 4, 4) cell stack); callers check the shape they need.
+    (n, 4, 4) cell stack); callers check the shape they need.  Bools are
+    not integers here.  `name` leads the error message.
     """
     arr = np.asarray(pattern)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("watermark values must be integers, got dtype %s" % arr.dtype)
+    if arr.dtype.kind not in "iu":  # signed or unsigned integers: not bool, not timedelta
+        raise ValueError("%s values must be integers, got dtype %s" % (name, arr.dtype))
     if arr.size:
         low = arr.min() if arr.dtype.kind == "i" else 0  # unsigned values are never negative
         high = arr.max()
         if low < 0 or high > 2:
-            raise ValueError("watermark values must be in {0, 1, 2}, found %d" % (low if low < 0 else high))
+            raise ValueError("%s values must be in {0, 1, 2}, found %d" % (name, low if low < 0 else high))
     return arr.astype(np.uint8, copy=False)
 
 

@@ -30,9 +30,10 @@ Every image route runs through one driver, _run_bands, and so does
 engine.process_blocks, which is _embed on the (4n, 4) view of its block
 stack.  The driver cuts the work into contiguous bands of whole block
 rows, about _BAND_PIXELS pixels each so that a band's temporaries stay in
-cache, and runs them on min(threads or os.cpu_count(), os.cpu_count(),
-bands) threads; only the engine passes threads.  The calling thread works
-its share of the bands and helper threads the rest (see _run_bands).
+cache, and runs them on min(threads or cpus, cpus, bands) threads, where
+cpus is the number of CPUs this process may use (_cpus); only the engine
+passes threads.  The calling thread works its share of the bands and
+helper threads the rest (see _run_bands).
 numpy releases the interpreter lock in the gathers and the arithmetic, so
 bands overlap.  verify counts each band's distances straight into the
 grid and never builds the extracted image.
@@ -72,6 +73,12 @@ Extraction is non-blind: it needs the original image, pixel-aligned with
 the suspect.  Block-level functions are the pure-Python reference route;
 image-level functions vectorize the same math with numpy and must match
 the block route bit for bit (the test suite holds them to that).
+
+Both routes take their input by one rule: pixels pass imageio.as_pixels
+and GF(3) values imageio.as_ternary, that is an integer dtype, not bool,
+in range.  A block function also requires shape (4, 4), checks each
+argument once and computes on the checked values as Python ints.  Any
+other input raises ValueError.
 """
 
 import os
@@ -83,7 +90,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hntt
-from .imageio import as_gray, as_ternary, check_multiple_of_4
+from .imageio import as_gray, as_pixels, as_ternary, check_multiple_of_4
 
 # Pixel decomposition tables, indexed by pixel value: the block route's
 # reference, which the image routes compute in uint8 arithmetic instead.
@@ -143,45 +150,33 @@ def checkerboard_cell() -> np.ndarray:
     )
 
 
-def _check_pixel_block(block, name: str = "block") -> None:
-    if len(block) != 4:
-        raise ValueError("%s must be 4x4, got %d rows" % (name, len(block)))
-    for row in block:
-        if len(row) != 4:
-            raise ValueError("%s must be 4x4, got a row of length %d" % (name, len(row)))
-        for v in row:
-            if not 0 <= v <= 255:
-                raise ValueError("%s pixels must be in [0, 255], got %r" % (name, v))
-
-
 def decompose(block) -> ResidueDecomposition:
     """Split a 4x4 pixel block into residue and divisible parts.
 
     residue = pixel mod 3; divisible = pixel - residue, capped at 252.
     Both come from 256-entry tables indexed by pixel value.
     """
-    _check_pixel_block(block)
+    block = hntt._checked(block, (4, 4), "block", as_pixels)
     residue = [[RESIDUE_TABLE[v] for v in row] for row in block]
     divisible = [[DIVISIBLE_TABLE[v] for v in row] for row in block]
     return ResidueDecomposition(residue, divisible)
 
 
 def embed_block(block, w) -> list[list[int]]:
-    """Embed one ternary cell into one pixel block (reference route)."""
-    hntt._check_block(w)
+    """Embed one ternary cell into one pixel block (reference route).
+    T is an involution, so one unchecked transform serves both ways."""
     residue, divisible = decompose(block)
-    transformed = hntt.special_hntt_2d(residue)
+    w = hntt._checked(w, (4, 4), "watermark")
+    transformed = hntt._separable(residue)
     marked = [[(transformed[i][k] + w[i][k]) % 3 for k in range(4)] for i in range(4)]
-    back = hntt.inverse_special_hntt_2d(marked)
+    back = hntt._separable(marked)
     return [[divisible[i][k] + back[i][k] for k in range(4)] for i in range(4)]
 
 
 def extract_block(original, suspect) -> list[list[int]]:
     """Recover the embedded cell as the transform-domain residue difference."""
-    res_orig, _ = decompose(original)
-    res_susp, _ = decompose(suspect)
-    t_orig = hntt.special_hntt_2d(res_orig)
-    t_susp = hntt.special_hntt_2d(res_susp)
+    t_orig = hntt._separable(decompose(original).residue)
+    t_susp = hntt._separable(decompose(suspect).residue)
     return [[(t_susp[i][k] - t_orig[i][k]) % 3 for k in range(4)] for i in range(4)]
 
 
@@ -265,10 +260,18 @@ def _band_rows(row_pixels: int) -> int:
     return max(1, _BAND_PIXELS // row_pixels)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may use: its affinity set, which
+    taskset and cpusets narrow, or os.cpu_count() where there is none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _new_pool() -> None:
     """Build the process's pool of band helper threads (see _run_bands)."""
     global _pool
-    _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="hnttmark-band")
+    _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="hnttmark-band")
 
 
 _new_pool()
@@ -280,22 +283,22 @@ def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> 
     """Call work(lo, hi) over [0, rows) in contiguous bands of
     _band_rows(row_pixels) whole rows.
 
-    The bands run on size = min(threads or os.cpu_count(), os.cpu_count(),
-    bands) threads: the calling thread runs bands[0::size] and size - 1
-    tasks on the helper pool run bands[k::size].  With size 1 every band
-    runs inline, in order.  The helper pool, _pool, is one per process with
-    max(1, os.cpu_count() - 1) threads.  _new_pool builds it at import and
-    again in a child made with os.fork(), whose inherited copy would never
-    run a task.  It starts a thread only when a task is submitted, so
-    importing the package and one-thread calls start none, and the threads
-    it starts are kept.  No band waits on the pool, so calls from many
+    The bands run on size = min(threads or cpus, cpus, bands) threads,
+    where cpus = _cpus() counts the CPUs this process may use: the calling
+    thread runs bands[0::size] and size - 1 tasks on the helper pool run
+    bands[k::size].  With size 1 every band runs inline, in order.  The
+    helper pool, _pool, is one per process with max(1, cpus - 1) threads.
+    _new_pool builds it at import and again in a child made with
+    os.fork(), whose inherited copy would never run a task.  It starts a
+    thread only when a task is submitted, so importing the package and
+    one-thread calls start none, and the threads it starts are kept.  No band waits on the pool, so calls from many
     threads share it without deadlock.  The call returns or raises only
     once all its bands are done; an exception raised in a band propagates
     unchanged, the caller's own first, then the first helper's.
     """
     step = _band_rows(row_pixels)
     bands = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-    cpus = os.cpu_count() or 1
+    cpus = _cpus()
     size = max(1, min(threads or cpus, cpus, len(bands)))
 
     def share(k: int) -> None:
@@ -455,9 +458,9 @@ class TamperReport:
 
     A report is checked once, when it is built: distances must be a 2-D
     integer array of values 0..16 and threshold must be >= 0, or the
-    constructor raises ValueError.  Its fields cannot be reassigned, so the
-    verdicts are computed once, on first use, and every renderer reads
-    the same grid; do not change the distances array in place either.
+    constructor raises ValueError.  It keeps a read-only copy of the
+    distances and its fields cannot be reassigned, so the verdicts are
+    computed once, on first use, and every renderer reads the same grid.
 
     to_text is the summary: the grid size, threshold and tampered count,
     then the tampered regions (8-connected groups of flagged blocks) as
@@ -474,6 +477,9 @@ class TamperReport:
         if not isinstance(d := self.distances, np.ndarray) or d.ndim != 2 or d.dtype.kind not in "iu":
             got = "%s of shape %s" % (getattr(d, "dtype", type(d).__name__), np.shape(d))
             raise ValueError("distances must be a 2-D integer array, got " + got)
+        d = d.copy()
+        d.flags.writeable = False
+        object.__setattr__(self, "distances", d)
         if d.size and (d.min() < 0 or d.max() > 16):
             raise ValueError("distances must be in 0..16, got %d..%d" % (d.min(), d.max()))
         if self.threshold < 0:

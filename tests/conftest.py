@@ -69,6 +69,6 @@ def failing_bands(monkeypatch):
         return column_pairs(a)
 
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
-    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(watermark, "_cpus", lambda: 2)
     monkeypatch.setattr(watermark, "_column_pairs", failing)
     return error

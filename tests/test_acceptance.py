@@ -60,6 +60,8 @@ def test_criterion_03_fast_naive_equivalence_no_multiplies():
     assert got == expected
     assert not _multiplies(hntt.hntt_1d_fast)
     assert not _multiplies(hntt.special_hntt_2d)
+    assert not _multiplies(hntt._separable)  # the butterflies the fast forms call
+    assert not _multiplies(hntt._butterfly)
     assert _multiplies(hntt.hntt_1d)
     assert elapsed < 0.010
     _report(3, "fast==naive on all 81, 0 muls", elapsed)

@@ -70,8 +70,10 @@ def test_transform_bad_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
     assert main(["transform"]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
-    monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["5"] * 16)))
-    assert main(["transform"]) == EXIT_ERROR
+    for flags in ([], ["--inverse"], ["--full"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["5"] * 16)))
+        assert main(["transform"] + flags) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: block values must be in {0, 1, 2}, found 5\n")
 
 
 def test_embed_extract_round_trip_is_byte_identical(tmp_path):

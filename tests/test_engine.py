@@ -69,8 +69,8 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, inline_pool):
     baseline = process_blocks(blocks, cells, workers=1)
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 16 * 150)
     view_bands = [(lo, min(lo + 150, 1000)) for lo in range(0, 1000, 150)]
-    for cpus, workers, threads in ((3, 50, 3), (3, 2, 2), (16, 50, 7), (8, 1, 1), (None, 8, 1)):
-        monkeypatch.setattr(watermark.os, "cpu_count", lambda: cpus)
+    for cpus, workers, threads in ((3, 50, 3), (3, 2, 2), (16, 50, 7), (8, 1, 1), (1, 8, 1)):
+        monkeypatch.setattr(watermark, "_cpus", lambda: cpus)
         calls.clear()
         assert np.array_equal(process_blocks(blocks, cells, workers=workers), baseline)
         assert calls == [(threads, view_bands)]
@@ -80,7 +80,7 @@ def test_a_stack_of_one_band_starts_no_pool(monkeypatch, inline_pool):
     # 1000 blocks are one band of the (4000, 4) view, so even two workers
     # on two CPUs use no helper
     calls = inline_pool
-    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(watermark, "_cpus", lambda: 2)
     blocks = _blocks(1000, seed=14)
     cell = checkerboard_cell()
     out = process_blocks(blocks, cell, workers=2)

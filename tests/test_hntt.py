@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hnttmark import hntt
+from hnttmark import hntt, watermark
 from hnttmark.watermark import (
     _ADD,
     _DIGIT_WORDS,
@@ -106,19 +106,58 @@ def test_fast_examples():
     assert hntt.hntt_1d_fast([0, 0, 0, 0]) == [0, 0, 0, 0]
 
 
+def _callees(func) -> set:
+    """The hntt functions func's source names, and theirs, transitively."""
+    found, todo = set(), [func]
+    while todo:
+        for node in ast.walk(ast.parse(inspect.getsource(todo.pop()))):
+            callee = getattr(hntt, node.id, None) if isinstance(node, ast.Name) else None
+            if inspect.isfunction(callee) and callee.__module__ == hntt.__name__ and callee not in found:
+                found.add(callee)
+                todo.append(callee)
+    return found
+
+
 def _multiplies(func) -> bool:
-    """Whether func's source holds a *, ** or @ (plain or augmented)."""
+    """Whether func's source, or that of an hntt function it calls, holds a
+    *, ** or @ (plain or augmented)."""
     ops = (ast.Mult, ast.Pow, ast.MatMult)
     return any(
         isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ops)
-        for node in ast.walk(ast.parse(inspect.getsource(func)))
+        for f in {func} | _callees(func)
+        for node in ast.walk(ast.parse(inspect.getsource(f)))
     )
 
 
 def test_fast_performs_no_multiplications():
     assert not _multiplies(hntt.hntt_1d_fast)
     assert not _multiplies(hntt.special_hntt_2d)
+    # the butterflies the fast forms run are in the scan
+    assert hntt._butterfly in _callees(hntt.hntt_1d_fast)
+    assert {hntt._separable, hntt._butterfly} <= _callees(hntt.special_hntt_2d)
+    assert hntt.hntt_1d not in _callees(hntt.special_hntt_2d)
     assert _multiplies(hntt.hntt_1d)  # positive control: the naive route multiplies
+
+
+def test_each_entry_point_checks_once_and_runs_unchecked_butterflies(monkeypatch):
+    calls = []
+    for name in ("_checked", "_butterfly"):
+        real = getattr(hntt, name)
+        monkeypatch.setattr(hntt, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    vector = [1, 2, 0, 1]
+    block = [vector] * 4
+    for call, checks, butterflies in (
+        (lambda: hntt.hntt_1d_fast(vector), 1, 1),
+        (lambda: hntt.hntt_1d(vector), 1, 0),
+        (lambda: hntt.special_hntt_2d(block), 1, 8),
+        (lambda: hntt.full_hntt_2d_direct(block), 1, 0),
+        (lambda: watermark.decompose(block), 1, 0),
+        (lambda: watermark.embed_block(block, block), 2, 16),
+        (lambda: watermark.extract_block(block, block), 2, 16),
+    ):
+        calls.clear()
+        call()
+        assert (calls.count("_checked"), calls.count("_butterfly")) == (checks, butterflies)
 
 
 def test_inverse_equals_forward_and_round_trips():

@@ -117,7 +117,7 @@ def test_verify_cell_matches_its_tiled_grid(case, other, data):
 def test_banded_routes_match_the_block_oracles(monkeypatch, inline_pool, cpus, case, data):
     # one block row per band, so an image of n block rows runs as n bands
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
-    monkeypatch.setattr(watermark.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(watermark, "_cpus", lambda: cpus)
     calls = inline_pool
     calls.clear()
     img, pattern = case

@@ -115,16 +115,19 @@ def test_embed_constant_block_all_ones_cell():
 @pytest.mark.parametrize(
     "cell, message",
     [
-        ([[3] * 4] * 4, "vector values must be in GF(3), got 3"),
-        ([[-1] * 4] * 4, "vector values must be in GF(3), got -1"),
-        ([[0] * 5] * 4, "expected a length-4 vector, got length 5"),
-        ([[0] * 3] * 3, "expected a 4x4 block, got 3 rows"),
+        ([[3] * 4] * 4, "watermark values must be in {0, 1, 2}, found 3"),
+        ([[-1] * 4] * 4, "watermark values must be in {0, 1, 2}, found -1"),
+        ([[0] * 5] * 4, "watermark must have shape (4, 4), got shape (4, 5)"),
+        ([[0] * 3] * 3, "watermark must have shape (4, 4), got shape (3, 3)"),
+        ([[0.5] * 4] * 4, "watermark values must be integers, got dtype float64"),
+        ([[True] * 4] * 4, "watermark values must be integers, got dtype bool"),
     ],
-    ids=["value-3", "value-minus-1", "4x5", "3x3"],
+    ids=["value-3", "value-minus-1", "4x5", "3x3", "float", "bool"],
 )
 def test_embed_block_rejects_a_bad_cell(cell, message):
-    # The cells embed_image rejects: before the check, 3 acted as 0, -1 as 2,
-    # a fifth column was ignored and a 3x3 cell raised IndexError.
+    # The cells embed_image rejects: before any check, 3 acted as 0, -1 as 2,
+    # a fifth column was ignored and a 3x3 cell raised IndexError; before
+    # the one input rule, 0.5 gave float pixels and True acted as 1.
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         embed_block(_block_of(100), cell)
 
@@ -334,7 +337,8 @@ def test_an_error_in_a_band_surfaces_unchanged(failing_bands):
 # ------------------------------------------------------------- band driver
 
 # Run in a fresh interpreter: importing the package and calls that run on
-# one thread (one CPU, one worker, one band) start no thread.
+# one thread (one CPU, one worker, one band) start no thread.  One CPU is
+# the process's own affinity set, narrowed after import as taskset would.
 _ONE_THREAD_CALLS = """
 import os, threading
 import numpy as np
@@ -351,7 +355,10 @@ process_blocks(img.reshape(-1, 4, 4), cell, workers=1)
 process_blocks(small.reshape(-1, 4, 4), cell, workers=8)
 watermark.verify(small, small, cell)
 watermark.extract_image(small, small)
-os.cpu_count = lambda: 1
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+else:
+    watermark._cpus = lambda: 1
 watermark.embed_image(img, cell)
 watermark.verify(img, img, img % 3)
 assert threading.active_count() == before, "a one-thread call started a thread"
@@ -366,10 +373,22 @@ def test_import_and_one_thread_calls_start_no_thread():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
+def test_cpus_counts_the_cpus_this_process_may_use(monkeypatch):
+    # the affinity set, not the machine's count; os.cpu_count() only where
+    # the platform has no affinity call, and 1 when that count is unknown
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(watermark.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert watermark._cpus() == 1
+    monkeypatch.delattr(watermark.os, "sched_getaffinity")
+    assert watermark._cpus() == 8
+    monkeypatch.setattr(watermark.os, "cpu_count", lambda: None)
+    assert watermark._cpus() == 1
+
+
 def test_many_multi_band_calls_share_one_pool(monkeypatch):
-    helpers = max(1, (os.cpu_count() or 1) - 1)  # the pool's size, fixed at import
+    helpers = max(1, watermark._cpus() - 1)  # the pool's size, fixed at import
     pool = watermark._pool
-    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(watermark, "_cpus", lambda: 3)
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)  # one block row per band
     rng = np.random.RandomState(32)
     img = rng.randint(0, 256, (32, 16), dtype=np.uint8)
@@ -386,7 +405,7 @@ def test_many_multi_band_calls_share_one_pool(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_builds_its_own_pool(monkeypatch):
-    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(watermark, "_cpus", lambda: 2)
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
     rng = np.random.RandomState(31)
     img = rng.randint(0, 256, (64, 64), dtype=np.uint8)
@@ -417,7 +436,7 @@ def test_a_forked_child_builds_its_own_pool(monkeypatch):
 
 def test_a_band_error_propagates_once_every_band_is_done(monkeypatch):
     # two one-row bands on two threads: the caller runs band 0, a helper band 1
-    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(watermark, "_cpus", lambda: 2)
     errors = {0: ValueError("caller's band"), 1: MemoryError("helper's band")}
     for failing, want in (({0}, errors[0]), ({1}, errors[1]), ({0, 1}, errors[0])):
         finished = []
@@ -437,7 +456,7 @@ def test_a_band_error_propagates_once_every_band_is_done(monkeypatch):
 def test_a_helper_that_cannot_start_fails_the_call_after_the_started_ones(monkeypatch):
     # three one-row bands on three threads: helper 1 starts, helper 2's
     # submit raises, and the call raises only once helper 1's band is done
-    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(watermark, "_cpus", lambda: 3)
     error = RuntimeError("can't start new thread")
     pool = ThreadPoolExecutor(1)
 
@@ -493,7 +512,7 @@ def _race(target, threads: int) -> None:
 def test_concurrent_calls_match_serial_ones(monkeypatch):
     # more calling threads than CPUs share the helper pool; each call gets
     # what a serial call gives
-    monkeypatch.setattr(watermark.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(watermark, "_cpus", lambda: 2)
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 4 * 4 * 128)  # 4 block rows per band
     rng = np.random.RandomState(33)
     img = rng.randint(0, 256, (128, 128), dtype=np.uint8)
@@ -667,3 +686,19 @@ def test_report_verdicts_are_computed_once_and_fields_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.distances = np.zeros((2, 2), dtype=np.uint8)
     assert report.threshold == 2 and report.total_tampered == 2
+
+
+def test_report_keeps_a_read_only_copy_of_its_distances():
+    # a change to the caller's array after the report is built reaches no
+    # verdict, and the report's own array cannot be written
+    distances = np.array([[0, 3]])
+    report = TamperReport(0, distances)
+    report.to_text()
+    distances[0, 0] = 5
+    distances[0, 1] = -1
+    assert report.distances.tolist() == [[0, 3]] and report.distances.dtype == distances.dtype
+    assert report.total_tampered == 1 and report.tampered.tolist() == [[False, True]]
+    assert report.to_json() == TamperReport(0, np.array([[0, 3]])).to_json()
+    assert "total_tampered=1" in report.to_text()
+    with pytest.raises(ValueError, match="read-only"):
+        report.distances[0, 0] = 5
