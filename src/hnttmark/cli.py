@@ -62,7 +62,8 @@ def _cmd_transform(args) -> int:
         values = [int(t) for t in tokens]
     except ValueError:
         raise ValueError("block values must be integers") from None
-    block = [values[i * 4 : i * 4 + 4] for i in range(4)]
+    # as Python ints, not int64 or float64, so the range check names any value
+    block = np.array(values, dtype=object).reshape(4, 4)
     if args.full:
         out = hntt.full_hntt_2d(block)
     elif args.inverse:

@@ -36,10 +36,10 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     core on that view: bands of about _BAND_PIXELS pixels on
     min(workers, cpus, bands) threads, where cpus counts the CPUs this
     process may use.  The calling thread works a share of the bands and
-    helper threads the rest (see watermark._run_bands).  The output is identical to sequential
-    per-block embedding regardless of worker count.  Accepts a list of
-    4x4 blocks or an (n, 4, 4) array; the pattern is a single cell
-    applied to all blocks, or one cell per block.
+    helper threads the rest (see watermark._run_bands).  The output is
+    identical to sequential per-block embedding regardless of worker
+    count.  Accepts a list of 4x4 blocks or an (n, 4, 4) array; the
+    pattern is a single cell applied to all blocks, or one cell per block.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1, got %d" % workers)

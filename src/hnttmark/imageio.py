@@ -34,6 +34,16 @@ _TOKEN_RE = re.compile(rb"(?:\s|%s)*([^\s#]*)" % _COMMENT)
 _RANGE_ERROR = "PGM pixel value out of range [0, %d]"
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as an array of a signed or unsigned integer dtype (not bool,
+    not timedelta), or of Python ints only, which numpy holds as objects
+    when one does not fit 64 bits; else ValueError naming `what`."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "O" and all(type(v) is int for v in arr.flat)):
+        raise ValueError("%s must be integers, got dtype %s" % (what, arr.dtype))
+    return arr
+
+
 def as_pixels(pixels, name: str = "image") -> np.ndarray:
     """Validate an integer array of 8-bit pixel values and return it as uint8.
 
@@ -41,9 +51,7 @@ def as_pixels(pixels, name: str = "image") -> np.ndarray:
     stack); callers check the shape they need.  Bools are not integers
     here.  `name` leads the error message.
     """
-    arr = np.asarray(pixels)
-    if arr.dtype.kind not in "iu":  # signed or unsigned integers: not bool, not timedelta
-        raise ValueError("%s pixels must be integers, got dtype %s" % (name, arr.dtype))
+    arr = _integers(pixels, name + " pixels")
     if arr.dtype != np.uint8 and arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("%s pixels must be in [0, 255]" % name)
     return arr.astype(np.uint8, copy=False)
@@ -64,11 +72,9 @@ def as_ternary(pattern, name: str = "watermark") -> np.ndarray:
     (n, 4, 4) cell stack); callers check the shape they need.  Bools are
     not integers here.  `name` leads the error message.
     """
-    arr = np.asarray(pattern)
-    if arr.dtype.kind not in "iu":  # signed or unsigned integers: not bool, not timedelta
-        raise ValueError("%s values must be integers, got dtype %s" % (name, arr.dtype))
+    arr = _integers(pattern, name + " values")
     if arr.size:
-        low = arr.min() if arr.dtype.kind == "i" else 0  # unsigned values are never negative
+        low = arr.min() if arr.dtype.kind != "u" else 0  # unsigned values are never negative
         high = arr.max()
         if low < 0 or high > 2:
             raise ValueError("%s values must be in {0, 1, 2}, found %d" % (name, low if low < 0 else high))

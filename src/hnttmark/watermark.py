@@ -291,10 +291,11 @@ def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> 
     _new_pool builds it at import and again in a child made with
     os.fork(), whose inherited copy would never run a task.  It starts a
     thread only when a task is submitted, so importing the package and
-    one-thread calls start none, and the threads it starts are kept.  No band waits on the pool, so calls from many
-    threads share it without deadlock.  The call returns or raises only
-    once all its bands are done; an exception raised in a band propagates
-    unchanged, the caller's own first, then the first helper's.
+    one-thread calls start none, and the threads it starts are kept.  No
+    band waits on the pool, so calls from many threads share it without
+    deadlock.  The call returns or raises only once all its bands are
+    done; an exception raised in a band propagates unchanged, the
+    caller's own first, then the first helper's.
     """
     step = _band_rows(row_pixels)
     bands = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
@@ -408,48 +409,46 @@ def tamper_regions(flags: np.ndarray) -> list[tuple[int, int, int, int, int]]:
 
     Bounds are inclusive grid coordinates and count is the number of set
     cells.  Regions are ordered by their first cell in row-major order.
-    Only set cells are labelled: numpy finds the runs of each row and the
-    pairs of runs in adjacent rows that touch, and a union-find over runs
-    joins them, so the Python work grows with the runs, not the grid.
+    Only set cells are labelled, in whole-array passes: numpy finds the
+    runs of each row and the pairs of runs in adjacent rows that touch,
+    then hooking and pointer jumping, as in Shiloach and Vishkin's
+    connectivity algorithm, point every run at the first run of its region.
     """
     h, w = flags.shape
-    padded = np.zeros((h, w + 2), dtype=np.int8)
-    padded[:, 1:-1] = flags
-    edges = np.diff(padded, axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1]  # exclusive, paired with starts
-    # Run b touches run a of the row above when a.start <= b.end and
-    # b.start <= a.end, diagonals included.  Keyed by row * (w + 2) + column,
-    # the runs that touch b from above are one slice [lo, hi) of the runs.
-    above = (rows - 1) * (w + 2)
-    lo = np.searchsorted(rows * (w + 2) + ends, above + starts)
-    hi = np.searchsorted(rows * (w + 2) + starts, above + ends, "right")
+    stride = w + 1
+    # Row y, column x is cell y * stride + x + 1: a clear cell stands before
+    # each row and one at the end, so no run crosses a row.
+    cells = np.zeros(h * stride + 1, dtype=bool)
+    cells[:-1].reshape(h, stride)[:, 1:] = flags
+    starts, ends = (np.flatnonzero(cells[1:] != cells[:-1]) + 1).reshape(-1, 2).T  # ends exclusive
+    # Run b touches run a of the row above when a.start <= b.end - stride and
+    # b.start - stride <= a.end, diagonals included.  Starts and ends both
+    # ascend, so the runs that touch b from above are one slice [lo, hi).
+    lo = np.searchsorted(ends, starts - stride)
+    hi = np.searchsorted(starts, ends - stride, "right")
     count = np.maximum(hi - lo, 0)
     upper = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())
-    lower = np.repeat(np.arange(len(rows)), count)
+    lower = np.repeat(np.arange(len(starts)), count)
 
-    # The earliest run of a region is its root, so parent[i] <= i throughout.
-    parent = list(range(len(rows)))
-    for a, b in zip(upper.tolist(), lower.tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    for i, p in enumerate(parent):  # parent[p] is already a root
-        parent[i] = parent[p]
+    # Hook each larger root under the smaller, then jump until every run
+    # points at its root.  parent[i] <= i throughout, so a root is the
+    # first run of its region.
+    parent = np.arange(len(starts))
+    while ((a := parent[upper]) != (b := parent[lower])).any():
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while ((jumped := parent[parent]) != parent).any():
+            parent = jumped
 
-    roots, region = np.unique(np.array(parent, dtype=np.intp), return_inverse=True)
-    x0 = np.full(len(roots), w)
-    x1, y1, cells = np.zeros((3, len(roots)), dtype=np.intp)
-    np.minimum.at(x0, region, starts)
-    np.maximum.at(x1, region, ends - 1)
-    np.maximum.at(y1, region, rows)
-    np.add.at(cells, region, ends - starts)
-    return list(zip(x0.tolist(), x1.tolist(), rows[roots].tolist(), y1.tolist(), cells.tolist()))
+    first = parent == np.arange(len(parent))
+    region = (np.cumsum(first) - 1)[parent]
+    y, x = np.divmod(starts, stride)  # x is the start column + 1
+    x0 = np.full(np.count_nonzero(first), w)
+    x1, y1, blocks = np.zeros((3, len(x0)), dtype=np.intp)
+    np.minimum.at(x0, region, x - 1)
+    np.maximum.at(x1, region, x + (ends - starts) - 2)
+    np.maximum.at(y1, region, y)
+    np.add.at(blocks, region, ends - starts)
+    return list(zip(x0.tolist(), x1.tolist(), y[first].tolist(), y1.tolist(), blocks.tolist()))
 
 
 @dataclass(frozen=True)
@@ -457,7 +456,8 @@ class TamperReport:
     """Per-block extraction damage and tamper verdicts for one image pair.
 
     A report is checked once, when it is built: distances must be a 2-D
-    integer array of values 0..16 and threshold must be >= 0, or the
+    integer array of values 0..16 and threshold must be an integer >= 0
+    (a Python or numpy integer, not a bool, kept as a Python int), or the
     constructor raises ValueError.  It keeps a read-only copy of the
     distances and its fields cannot be reassigned, so the verdicts are
     computed once, on first use, and every renderer reads the same grid.
@@ -482,8 +482,11 @@ class TamperReport:
         object.__setattr__(self, "distances", d)
         if d.size and (d.min() < 0 or d.max() > 16):
             raise ValueError("distances must be in 0..16, got %d..%d" % (d.min(), d.max()))
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0, got %d" % self.threshold)
+        if isinstance(t := self.threshold, bool) or not isinstance(t, (int, np.integer)):
+            raise ValueError("threshold must be an integer, got %r" % (t,))
+        object.__setattr__(self, "threshold", int(t))
+        if t < 0:
+            raise ValueError("threshold must be >= 0, got %d" % t)
 
     @property
     def grid_width(self) -> int:
@@ -550,8 +553,8 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     extracted cell and the reference cell; the block is flagged when the
     distance exceeds the threshold.  The default threshold 0 flags any
     damage at all, which is the point of a fragile watermark.  The report
-    checks the threshold when it is built: a negative one raises ValueError
-    after the images and the reference are checked.
+    checks the threshold when it is built: one that is negative or not an
+    integer raises ValueError after the images and the reference are checked.
     """
     orig, susp = _image_pair(original, suspect)
     cells = _pattern_cells(reference, orig.shape, "%dx%d like the image" % orig.shape[::-1])

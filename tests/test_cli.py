@@ -74,6 +74,12 @@ def test_transform_bad_input(monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["5"] * 16)))
         assert main(["transform"] + flags) == EXIT_ERROR
         assert capsys.readouterr() == ("", "error: block values must be in {0, 1, 2}, found 5\n")
+    # values past 64 bits, which numpy holds only as objects or floats, get
+    # the same range message, naming the value
+    for value in ["9" * 20 + "0" * 15, "-" + "9" * 20 + "0" * 15, str(2**63), str(-(2**63) - 1)]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["0"] * 15 + [value])))
+        assert main(["transform"]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: block values must be in {0, 1, 2}, found %s\n" % value)
 
 
 def test_embed_extract_round_trip_is_byte_identical(tmp_path):

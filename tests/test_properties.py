@@ -205,11 +205,42 @@ def test_report_regions_match_flood_fill(distances, threshold):
         (np.array([[0, 1, 0], [1, 0, 0]], bool), [(0, 1, 0, 1, 2)]),
         (np.array([[1, 0, 0], [0, 1, 0]], bool), [(0, 1, 0, 1, 2)]),
         (np.array([[1, 0, 0, 0, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 1]], bool), [(0, 4, 0, 2, 9)]),
+        # a run that ends one row and a run that starts the next touch only
+        # when the grid is 2 wide, where they are diagonal neighbours
+        (np.array([[0, 0, 1], [1, 0, 0]], bool), [(2, 2, 0, 0, 1), (0, 0, 1, 1, 1)]),
+        (np.array([[0, 0, 1, 1], [1, 0, 0, 0]], bool), [(2, 3, 0, 0, 2), (0, 0, 1, 1, 1)]),
+        (np.array([[0, 1], [1, 0]], bool), [(0, 1, 0, 1, 2)]),
+        (np.zeros((0, 5), bool), []),
+        (np.zeros((5, 0), bool), []),
     ],
-    ids=["none", "all", "lone-corner-1xN", "lone-corner", "anti-diagonal-pair", "diagonal-pair", "u-shape"],
+    ids=["none", "all", "lone-corner-1xN", "lone-corner", "anti-diagonal-pair", "diagonal-pair", "u-shape",
+         "row-end-row-start-w3", "row-end-row-start-w4", "row-end-row-start-w2", "0xN", "Nx0"],
 )
 def test_tamper_regions_explicit_cases(flags, want):
     assert tamper_regions(flags) == want
+
+
+def _serpentine(n: int) -> np.ndarray:
+    """One path through an n x n grid: every even row full, joined at
+    alternate ends by one cell in each odd row."""
+    flags = np.zeros((n, n), bool)
+    flags[::2] = True
+    flags[1::4, -1] = flags[3::4, 0] = True
+    return flags
+
+
+_CHECKERBOARD = np.indices((64, 64)).sum(axis=0) % 2 == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [_serpentine(64), _serpentine(64).T, _serpentine(64)[::-1, ::-1], _CHECKERBOARD],
+    ids=["serpentine", "serpentine-transposed", "serpentine-reversed", "checkerboard"],
+)
+def test_tamper_regions_match_flood_fill_on_long_paths_and_dense_edges(flags):
+    # one path of 32 full rows joined end to end, walked against the run
+    # order too, and a grid where each run touches two runs above and two below
+    assert tamper_regions(flags) == _flood_regions(flags) == [(0, 63, 0, 63, int(flags.sum()))]
 
 
 def test_production_routes_never_call_the_block_oracles(monkeypatch):

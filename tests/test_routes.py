@@ -153,6 +153,11 @@ def test_reference_functions_raise_only_value_errors_and_return_ints(block, row)
         (lambda: hntt.hntt_1d([True, False, True, False]), "vector values must be integers, got dtype bool"),
         (lambda: hntt.special_hntt_2d([[1.0] * 4] * 4), "block values must be integers, got dtype float64"),
         (lambda: hntt.special_hntt_2d([[None] * 4] * 4), "block values must be integers, got dtype object"),
+        (lambda: hntt.special_hntt_2d([[10**20, 0, 0, 0]] + [[0] * 4] * 3),
+         "block values must be in {0, 1, 2}, found 100000000000000000000"),
+        (lambda: hntt.special_hntt_2d([[True, 10**20, 0, 0]] + [[0] * 4] * 3),
+         "block values must be integers, got dtype object"),
+        (lambda: watermark.decompose([[-(10**20), 0, 0, 0]] + [[0] * 4] * 3), "block pixels must be in [0, 255]"),
         (lambda: hntt.full_hntt_2d_direct(np.ones((4, 4, 1), int)), "block must have shape (4, 4), got shape (4, 4, 1)"),
         (lambda: watermark.decompose([[100.5] * 4] * 4), "block pixels must be integers, got dtype float64"),
         (lambda: watermark.decompose([[0, 0, 0, 256]] + [[0] * 4] * 3), "block pixels must be in [0, 255]"),
@@ -161,7 +166,8 @@ def test_reference_functions_raise_only_value_errors_and_return_ints(block, row)
         (lambda: as_pixels(np.ones(3, "m8[s]")), "image pixels must be integers, got dtype timedelta64[s]"),
         (lambda: as_ternary(np.ones(3, "m8[s]")), "watermark values must be integers, got dtype timedelta64[s]"),
     ],
-    ids=["1d-short", "1d-value-3", "1d-bools", "2d-floats", "2d-none", "direct-4x4x1",
+    ids=["1d-short", "1d-value-3", "1d-bools", "2d-floats", "2d-none", "2d-beyond-64-bits", "2d-bool-and-big-int",
+         "decompose-beyond-64-bits", "direct-4x4x1",
          "decompose-float", "decompose-256", "decompose-4x3", "extract-str", "pixels-timedelta", "ternary-timedelta"],
 )
 def test_reference_messages(call, message):

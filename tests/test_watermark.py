@@ -665,6 +665,35 @@ def test_report_rejects_a_negative_threshold():
         TamperReport(threshold=-1, distances=np.zeros((2, 2), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("threshold", [1, np.int64(1), np.uint8(1), np.int8(1)])
+def test_report_keeps_an_integer_threshold_as_a_python_int(threshold):
+    report = TamperReport(threshold, np.array([[0, 3], [1, 2]]))
+    assert type(report.threshold) is int and report.threshold == 1
+    assert report.to_json() == json.dumps(report.to_dict(), separators=(",", ":")).encode()
+    assert report.to_text().splitlines()[2] == "threshold=1" and report.total_tampered == 2
+    img = np.zeros((8, 8), dtype=np.uint8)
+    assert type(verify(img, img, checkerboard_cell(), threshold=threshold).to_dict()["threshold"]) is int
+
+
+@pytest.mark.parametrize(
+    "threshold, message",
+    [
+        (2.5, "threshold must be an integer, got 2.5"),
+        (float("nan"), "threshold must be an integer, got nan"),
+        ("2", "threshold must be an integer, got '2'"),
+        (None, "threshold must be an integer, got None"),
+        (True, "threshold must be an integer, got True"),
+        (np.bool_(False), "threshold must be an integer, got np.False_"),
+        (np.float64(2.0), "threshold must be an integer, got np.float64(2.0)"),
+        (np.int64(-2), "threshold must be >= 0, got -2"),
+    ],
+    ids=["float", "nan", "str", "none", "bool", "numpy-bool", "numpy-float", "numpy-negative"],
+)
+def test_report_rejects_a_threshold_that_is_not_an_integer(threshold, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        TamperReport(threshold, np.zeros((2, 2), dtype=np.uint8))
+
+
 def test_an_empty_report_is_accepted():
     report = TamperReport(threshold=0, distances=np.zeros((0, 0), dtype=np.uint8))
     assert report.total_tampered == 0
