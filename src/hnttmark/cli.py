@@ -59,11 +59,9 @@ def _cmd_transform(args) -> int:
     if len(tokens) != 16:
         raise ValueError("expected 16 block values on stdin, got %d" % len(tokens))
     try:
-        values = [int(t) for t in tokens]
+        block = [[int(t) for t in tokens[i : i + 4]] for i in range(0, 16, 4)]
     except ValueError:
         raise ValueError("block values must be integers") from None
-    # as Python ints, not int64 or float64, so the range check names any value
-    block = np.array(values, dtype=object).reshape(4, 4)
     if args.full:
         out = hntt.full_hntt_2d(block)
     elif args.inverse:

@@ -9,6 +9,10 @@ second plus the equivalent frame rate for the chosen frame size
 that maps a dedicated 100 MHz one-block-per-cycle pipeline to 95.37 Hz
 at 4096x4096 (1e8 / 1_048_576); desk software is not expected to reach
 such rates, and none are asserted here, only reported.
+
+`workers`, `iterations` and the frame sizes are Python or numpy
+integers, not bools; anything else raises ValueError before any work
+starts, whatever the number of CPUs.
 """
 
 import dataclasses
@@ -17,7 +21,7 @@ import time
 import numpy as np
 
 from .imageio import as_pixels
-from .watermark import _embed, _pattern_cells, checkerboard_cell
+from .watermark import _embed, _integer, _pattern_cells, checkerboard_cell
 
 
 def _as_block_stack(blocks) -> np.ndarray:
@@ -26,7 +30,7 @@ def _as_block_stack(blocks) -> np.ndarray:
     arr = np.asarray(blocks)
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise ValueError("expected a stack of 4x4 blocks, got shape %s" % (arr.shape,))
-    return as_pixels(arr)
+    return as_pixels(blocks)
 
 
 def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
@@ -41,8 +45,7 @@ def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:
     count.  Accepts a list of 4x4 blocks or an (n, 4, 4) array; the
     pattern is a single cell applied to all blocks, or one cell per block.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1, got %d" % workers)
+    workers = _integer(workers, "workers", 1)
     stack = _as_block_stack(blocks)
     n = stack.shape[0]
     cells = _pattern_cells(pattern, (n, 4, 4), "one cell per block (%d, 4, 4)" % n)
@@ -80,10 +83,10 @@ class BenchResult:
 
 def _frame_blocks(frame_width: int, frame_height: int) -> int:
     """Blocks per frame, for dimensions that are positive multiples of 4."""
-    if frame_width <= 0 or frame_height <= 0 or frame_width % 4 or frame_height % 4:
-        raise ValueError("frame dimensions must be positive multiples of 4, got %dx%d"
-                         % (frame_width, frame_height))
-    return (frame_width // 4) * (frame_height // 4)
+    width, height = _integer(frame_width, "frame_width"), _integer(frame_height, "frame_height")
+    if width <= 0 or height <= 0 or width % 4 or height % 4:
+        raise ValueError("frame dimensions must be positive multiples of 4, got %dx%d" % (width, height))
+    return (width // 4) * (height // 4)
 
 
 def frame_rate_equivalent(blocks_per_second: float, frame_width: int, frame_height: int) -> float:
@@ -107,8 +110,7 @@ def benchmark(
     workers: int = 1,
 ) -> BenchResult:
     """Embed synthetic frames repeatedly and report measured throughput."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1, got %d" % iterations)
+    iterations = _integer(iterations, "iterations", 1)
     frame_blocks = _frame_blocks(frame_width, frame_height)
     frame = _synthetic_frame(frame_width, frame_height)
     stack = frame.reshape(frame_height // 4, 4, frame_width // 4, 4).swapaxes(1, 2).reshape(-1, 4, 4)
@@ -127,7 +129,7 @@ def benchmark(
         elapsed_seconds=elapsed,
         blocks_per_second=blocks_per_second,
         equivalent_frame_rate=blocks_per_second / frame_blocks,
-        worker_count=workers,
+        worker_count=int(workers),
         frame_width=frame_width,
         frame_height=frame_height,
     )

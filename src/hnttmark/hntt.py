@@ -14,16 +14,11 @@ butterflies (eight in total) and performs no multiplications; plain
 add/subtract-then-reduce benchmarked ahead of both 3x3 lookup tables and
 conditional subtraction in CPython, so the butterflies here use
 arithmetic.  That finding holds for this scalar route only.  The image
-routes run the same butterflies in numpy as lookups on packed rows
-(watermark._transform; the watermark module docstring has the details).
-It works on images in their own layout, where a block row is 4
-contiguous pixels.  Each row packs into one code (12 bits of shifts and
-masks on input, base 3 after the first lookup); a 4096-entry table
-applies H along the row, two flat 81x81 tables add and subtract whole
-row codes digitwise mod 3 for the column butterflies, and one gather of
-4-byte digit words unpacks the codes independently of byte order.  The
-functions here are the reference those routes are tested against and
-stay out of production paths.
+routes run the same butterflies in numpy as lookups on packed rows,
+in watermark._transform, whose stages the watermark module docstring
+describes.  Of this module only the constant H4 reaches them, to build
+the kernel's row table.  The functions here are the reference those
+routes are tested against and stay out of production paths.
 
 Every public function here checks its argument once, by the rule the
 image routes apply (imageio.as_ternary): an array of the expected shape,
@@ -71,7 +66,7 @@ def _checked(x, shape: tuple, name: str, values=as_ternary) -> list:
     arr = np.asarray(x)
     if arr.shape != shape:
         raise ValueError("%s must have shape %s, got shape %s" % (name, shape, arr.shape))
-    return values(arr, name).tolist()
+    return values(x, name).tolist()
 
 
 def _butterfly(x0, x1, x2, x3) -> list[int]:

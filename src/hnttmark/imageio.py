@@ -37,8 +37,19 @@ _RANGE_ERROR = "PGM pixel value out of range [0, %d]"
 def _integers(values, what: str) -> np.ndarray:
     """values as an array of a signed or unsigned integer dtype (not bool,
     not timedelta), or of Python ints only, which numpy holds as objects
-    when one does not fit 64 bits; else ValueError naming `what`."""
+    when one does not fit 64 bits; else ValueError naming `what`.
+
+    An ndarray is judged by its dtype alone.  Other input, a nested list
+    say, is judged by its leaves when numpy gives it a number dtype: a
+    bool among them is rejected, and Python ints that numpy widens to
+    float64 (2**63 beside 0) are held as objects, like those beyond 64 bits.
+    """
     arr = np.asarray(values)
+    if not isinstance(values, np.ndarray) and arr.dtype.kind in "iuf":
+        kinds = set(map(type, np.asarray(values, dtype=object).flat))
+        if bool in kinds or np.bool_ in kinds:
+            raise ValueError("%s must be integers, got a bool" % what)
+        arr = np.asarray(values, dtype=object) if arr.dtype.kind == "f" and kinds == {int} else arr
     if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "O" and all(type(v) is int for v in arr.flat)):
         raise ValueError("%s must be integers, got dtype %s" % (what, arr.dtype))
     return arr
@@ -62,7 +73,7 @@ def as_gray(image) -> np.ndarray:
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("image must be a non-empty 2-D array, got shape %s" % (arr.shape,))
-    return as_pixels(arr)
+    return as_pixels(image)
 
 
 def as_ternary(pattern, name: str = "watermark") -> np.ndarray:

@@ -45,22 +45,24 @@ so the block rows of a band are its consecutive 4-byte words; an
 (n, 4, 4) block stack is the same thing as a (4n, 4) image.  A row of
 digits x0..x3 (each 0..7) is read as one little-endian uint32, x0 in the
 low byte, and two shift-or-mask steps pack it into the 12-bit code
-x0 + 8*x1 + 64*x2 + 512*x3 (_row_codes).  Three tables do the work: the
-4096-entry _ROW maps a 12-bit row code to the base-3 code of H*row mod
-3 (digits a0..a3, a0 most significant, < 81); the flat 81x81 _ADD and
+x0 + 8*x1 + 64*x2 + 512*x3 (_row_codes).  The 4096-entry _ROW, built
+from hntt.H4, maps a 12-bit row code to the base-3 code of H*row mod 3
+(digits a0..a3, a0 most significant, < 81).  The flat 81x81 _ADD and
 _SUB, indexed by 81*x + y, add and subtract two base-3 codes digitwise
-mod 3, which runs the column butterflies on whole rows, 8 lookups per
-block.  _column_pairs stops one stage short, at the two pair codes
-81*A0 + A2 and 81*A1 + A3 of each block, from which rows 0..3 of T are
-one _ADD or _SUB lookup each.  Unpacking is one gather from the (81, 4)
-digit table viewed as one uint32 per code, viewed back as bytes; the
-bytes round-trip unchanged, so the result does not depend on byte order.
+mod 3, which runs the column butterflies on whole rows.  _column_pairs
+stops one stage short, at the two pair codes 81*A0 + A2 and 81*A1 + A3
+of each block.  Rows 0..3 of T are then one lookup each, in _ADD_WORDS
+and _SUB_WORDS: entry p holds the four digits of _ADD[p] or _SUB[p] as
+one uint32, bytes in memory order, so the words written in image layout
+and viewed as bytes are the digits of T.  The bytes round-trip
+unchanged, so the result does not depend on byte order.  The column
+butterflies thus take 8 lookups per block, and the last 4 yield digits.
 
-verify against a 4x4 cell never unpacks: per call it builds two
-6561-entry tables that hold, for every pair code, the Hamming distance
-of the two rows it yields to the cell's rows (_cell_distances), and a
-block's distance is one lookup from each.  A full-grid reference has no
-such per-row constant, so its bands unpack and compare.
+verify against a 4x4 cell stops at the pair codes: per call it builds
+two 6561-entry tables that hold, for every pair code, the Hamming
+distance of the two rows it yields to the cell's rows (_cell_distances),
+and a block's distance is one lookup from each.  A full-grid reference
+has no such per-row constant, so its bands transform and compare.
 
 The divisible part is capped at 252 (pixels 253-255 share d = 252) so
 that x' = d + r' <= 254 always fits 8 bits; the cap costs at most 3 grey
@@ -76,9 +78,10 @@ the block route bit for bit (the test suite holds them to that).
 
 Both routes take their input by one rule: pixels pass imageio.as_pixels
 and GF(3) values imageio.as_ternary, that is an integer dtype, not bool,
-in range.  A block function also requires shape (4, 4), checks each
-argument once and computes on the checked values as Python ints.  Any
-other input raises ValueError.
+in range; input that is not an array, a nested list say, is judged by
+its values, so a bool among ints is rejected.  A block function also
+requires shape (4, 4), checks each argument once and computes on the
+checked values as Python ints.  Any other input raises ValueError.
 """
 
 import os
@@ -107,23 +110,16 @@ def _code(digits):
     return ((digits[0] * 3 + digits[1]) * 3 + digits[2]) * 3 + digits[3]
 
 
-def _row_table() -> np.ndarray:
-    """12-bit row code x0 + 8*x1 + 64*x2 + 512*x3 (digits 0..7) -> base-3
-    code of H*row mod 3, computed with the two butterfly stages of
-    hntt.hntt_1d_fast on every row at once."""
-    x0, x1, x2, x3 = np.arange(4096, dtype=np.int16) >> np.arange(0, 12, 3, dtype=np.int16)[:, None] & 7
-    a0, a1, a2, a3 = x0 + x1, x0 - x1, x2 + x3, x2 - x3
-    return _code(np.stack([a0 + a2, a0 - a2, a1 + a3, a1 - a3]) % 3).astype(np.uint8)
-
-
-# Transform kernel tables (see the module docstring).  Every table is built
-# in uint8 or int16 with the long axis innermost, which keeps import cheap.
+# Transform kernel tables (see the module docstring).  Every table is small
+# and built with the long axis innermost, which keeps import cheap.
 _D3 = (np.arange(81) // 3 ** np.arange(3, -1, -1)[:, None] % 3).astype(np.uint8)  # (4, 81)
-_DIGITS = np.ascontiguousarray(_D3.T)  # (81, 4): row q holds the digits of code q
-_DIGIT_WORDS = _DIGITS.view(np.uint32).ravel()
-_ROW = _row_table()
+# 12-bit row code x0 + 8*x1 + 64*x2 + 512*x3 (digits 0..7) -> base-3 code of H*row mod 3.
+_ROW = _code(np.array(hntt.H4) @ (np.arange(4096) >> np.arange(0, 12, 3)[:, None] & 7) % 3).astype(np.uint8)
 _ADD = _code((_D3[:, :, None] + _D3[:, None]) % 3).ravel()
 _SUB = _code((_D3[:, :, None] + 3 - _D3[:, None]) % 3).ravel()
+# Entry p is the digits of _ADD[p] (_SUB[p]) as one word, first digit in the
+# first byte: the rows of the (81, 4) digit table, one uint32 per code.
+_ADD_WORDS, _SUB_WORDS = np.ascontiguousarray(_D3.T).view(np.uint32).ravel()[[_ADD, _SUB]]
 # Hamming distance between two base-3 row codes, by [x, y].
 _DIST = (_D3[:, :, None] != _D3[:, None]).sum(0, dtype=np.uint8)
 
@@ -185,8 +181,18 @@ def _pattern_cells(pattern, shape: tuple, shape_text: str) -> np.ndarray:
     `shape_text` in the error, and return it as uint8."""
     arr = np.asarray(pattern)
     if arr.shape == (4, 4) or arr.shape == shape:
-        return as_ternary(arr)
+        return as_ternary(pattern)
     raise ValueError("watermark pattern must be a 4x4 cell or %s, got shape %s" % (shape_text, arr.shape))
+
+
+def _integer(value, name: str, low: int | None = None) -> int:
+    """value as a Python int: a Python or numpy integer, not a bool, and
+    at least `low` if given; else ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if low is not None and value < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
+    return int(value)
 
 
 def _row_codes(a: np.ndarray) -> np.ndarray:
@@ -236,12 +242,12 @@ def _transform(a: np.ndarray) -> np.ndarray:
     """
     h, w = a.shape
     pair02, pair13 = _column_pairs(a)
-    out = np.empty((h // 4, 4, w // 4), dtype=np.uint8)
-    out[:, 0] = _ADD.take(pair02)
-    out[:, 1] = _SUB.take(pair02)
-    out[:, 2] = _ADD.take(pair13)
-    out[:, 3] = _SUB.take(pair13)
-    return _DIGIT_WORDS.take(out).view(np.uint8).reshape(h, w)
+    out = np.empty((h // 4, 4, w // 4), dtype=np.uint32)
+    out[:, 0] = _ADD_WORDS.take(pair02)
+    out[:, 1] = _SUB_WORDS.take(pair02)
+    out[:, 2] = _ADD_WORDS.take(pair13)
+    out[:, 3] = _SUB_WORDS.take(pair13)
+    return out.view(np.uint8).reshape(h, w)
 
 
 def _cell_distances(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,11 +488,7 @@ class TamperReport:
         object.__setattr__(self, "distances", d)
         if d.size and (d.min() < 0 or d.max() > 16):
             raise ValueError("distances must be in 0..16, got %d..%d" % (d.min(), d.max()))
-        if isinstance(t := self.threshold, bool) or not isinstance(t, (int, np.integer)):
-            raise ValueError("threshold must be an integer, got %r" % (t,))
-        object.__setattr__(self, "threshold", int(t))
-        if t < 0:
-            raise ValueError("threshold must be >= 0, got %d" % t)
+        object.__setattr__(self, "threshold", _integer(self.threshold, "threshold", 0))
 
     @property
     def grid_width(self) -> int:

@@ -111,6 +111,42 @@ def test_process_blocks_validation():
         process_blocks(np.zeros((4, 4, 4), dtype=np.float32), checkerboard_cell())
 
 
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda stack: process_blocks(stack, checkerboard_cell(), workers=2.5), "workers must be an integer, got 2.5"),
+        (lambda stack: process_blocks(stack, checkerboard_cell(), workers=True), "workers must be an integer, got True"),
+        (lambda stack: process_blocks(stack, checkerboard_cell(), workers="2"), "workers must be an integer, got '2'"),
+        (lambda stack: benchmark(8, 8, iterations=2.5), "iterations must be an integer, got 2.5"),
+        (lambda stack: benchmark(8, 8, iterations=True), "iterations must be an integer, got True"),
+        (lambda stack: benchmark(frame_width=8.0, frame_height=8), "frame_width must be an integer, got 8.0"),
+        (lambda stack: benchmark(frame_width=8, frame_height=True), "frame_height must be an integer, got True"),
+        (lambda stack: benchmark(8, 8, 1, workers=True), "workers must be an integer, got True"),
+        (lambda stack: benchmark(8, 8, 1, workers=1.0), "workers must be an integer, got 1.0"),
+        (lambda stack: benchmark(8, 8, 1, workers=0), "workers must be >= 1, got 0"),
+        (lambda stack: frame_rate_equivalent(1.0, 8.0, 8), "frame_width must be an integer, got 8.0"),
+    ],
+    ids=["workers-float", "workers-bool", "workers-str", "iterations-float", "iterations-bool", "width-float",
+         "height-bool", "bench-workers-bool", "bench-workers-float", "bench-workers-0", "rate-width-float"],
+)
+def test_engine_integer_arguments_fail_alike_on_any_host(monkeypatch, inline_pool, cpus, call, message):
+    # three bands of the (4n, 4) view, so a float cap would reach range()
+    # on 4 CPUs and be cut to 2 on 2 CPUs if it were not checked first
+    stack = np.zeros((3 * watermark._band_rows(16), 4, 4), dtype=np.uint8)
+    monkeypatch.setattr(watermark, "_cpus", lambda: cpus)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call(stack)
+    assert inline_pool == []
+
+
+def test_engine_takes_numpy_integer_arguments():
+    result = benchmark(np.int64(8), np.int32(8), iterations=np.int16(1), workers=np.uint8(2))
+    assert type(result.worker_count) is int and result.worker_count == 2
+    assert np.array_equal(process_blocks(_blocks(3), checkerboard_cell(), workers=np.int64(2)),
+                          process_blocks(_blocks(3), checkerboard_cell()))
+
+
 def test_frame_rate_equivalent():
     assert frame_rate_equivalent(100.0, 8, 8) == pytest.approx(25.0)
     assert frame_rate_equivalent(1e8, 4096, 4096) == pytest.approx(95.367, abs=1e-3)

@@ -14,10 +14,10 @@ from hypothesis.extra.numpy import arrays
 from hnttmark import hntt, watermark
 from hnttmark.watermark import (
     _ADD,
-    _DIGIT_WORDS,
-    _DIGITS,
+    _ADD_WORDS,
     _ROW,
     _SUB,
+    _SUB_WORDS,
     _cell_distances,
     _row_codes,
     _transform,
@@ -283,7 +283,9 @@ def test_kernel_row_table_exhaustive():
     assert _ROW.shape == (4096,)
     for code in range(4096):
         row = [code >> shift & 7 for shift in (0, 3, 6, 9)]
-        assert _ROW[code] == _code_of(hntt.hntt_1d([d % 3 for d in row]), 3)
+        want = _code_of(hntt.hntt_1d([d % 3 for d in row]), 3)
+        # _ROW is built from H4, as hntt_1d is; the butterflies are independent
+        assert _ROW[code] == want == _code_of(hntt.hntt_1d_fast([d % 3 for d in row]), 3)
 
 
 def test_kernel_row_codes_exhaustive():
@@ -307,11 +309,15 @@ def test_kernel_add_sub_tables_exhaustive():
         assert _SUB[81 * x + y] == _code_of([(a - b) % 3 for a, b in zip(dx, dy)], 3)
 
 
-def test_kernel_unpacks_every_code_to_its_digits():
-    codes = np.arange(81)
-    unpacked = _DIGIT_WORDS.take(codes).view(np.uint8).reshape(81, 4)
-    for code in range(81):
-        assert unpacked[code].tolist() == _DIGITS[code].tolist() == _digits_of(code, 3)
+def test_kernel_word_tables_hold_digits_exhaustive():
+    # entry 81*a + b is one word whose bytes, in memory order, are the
+    # digits of a + b (or a - b) digitwise mod 3, first digit first
+    for table, sign in ((_ADD_WORDS, 1), (_SUB_WORDS, -1)):
+        assert table.dtype == np.uint32 and table.shape == (81 * 81,)
+        digits = table.view(np.uint8).reshape(81 * 81, 4).tolist()
+        for a, b in product(range(81), repeat=2):
+            da, db = _digits_of(a, 3), _digits_of(b, 3)
+            assert digits[81 * a + b] == [(x + sign * y) % 3 for x, y in zip(da, db)]
 
 
 @given(arrays(np.uint8, (4, 4), elements=st.integers(0, 2)))

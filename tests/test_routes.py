@@ -7,7 +7,7 @@ routes must never run the reference route.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +24,10 @@ _FORMS = ["list", "tuple", "array", "ragged", "3 rows", "4x5", "4x4x1", "flat"]
 # Kinds of rejection; ValueError messages are compared by kind, since the
 # routes name their arguments differently.
 _FAMILIES = ("inhomogeneous", "got shape", "must be integers", "must be in")
+# Lists that numpy turns into an integer or float64 array, but whose leaves
+# decide: a bool among ints, and Python ints that need float64 together.
+_BOOL_AMONG_INTS = [[True, 1, 0, 0]] + [[0] * 4] * 3
+_BEYOND_INT64_BESIDE_0 = [[2**63, 0, 0, 0]] + [[0] * 4] * 3
 
 
 @st.composite
@@ -88,6 +92,8 @@ def _is_int_block(result) -> bool:
 
 
 @given(block_inputs(high=2))
+@example(_BOOL_AMONG_INTS)
+@example(_BEYOND_INT64_BESIDE_0)
 def test_embed_block_decides_like_embed_image(cell):
     block = [[100] * 4 for _ in range(4)]
     got = _outcome(lambda: watermark.embed_block(block, cell))
@@ -98,6 +104,8 @@ def test_embed_block_decides_like_embed_image(cell):
 
 
 @given(block_inputs(high=255))
+@example(_BOOL_AMONG_INTS)
+@example(_BEYOND_INT64_BESIDE_0)
 def test_decompose_decides_like_as_pixels(block):
     got = _outcome(lambda: watermark.decompose(block))
     want = _expected(block, as_pixels)
@@ -109,6 +117,8 @@ def test_decompose_decides_like_as_pixels(block):
 
 
 @given(block_inputs(high=2))
+@example(_BOOL_AMONG_INTS)
+@example(_BEYOND_INT64_BESIDE_0)
 def test_special_hntt_2d_decides_like_as_ternary(block):
     got = _outcome(lambda: hntt.special_hntt_2d(block))
     want = _expected(block, as_ternary)
@@ -165,15 +175,41 @@ def test_reference_functions_raise_only_value_errors_and_return_ints(block, row)
         (lambda: watermark.extract_block([[0] * 4] * 4, [["a"] * 4] * 4), "block pixels must be integers, got dtype <U1"),
         (lambda: as_pixels(np.ones(3, "m8[s]")), "image pixels must be integers, got dtype timedelta64[s]"),
         (lambda: as_ternary(np.ones(3, "m8[s]")), "watermark values must be integers, got dtype timedelta64[s]"),
+        (lambda: watermark.embed_block([[100] * 4] * 4, _BOOL_AMONG_INTS), "watermark values must be integers, got a bool"),
+        (lambda: watermark.embed_image(np.full((4, 4), 100, np.uint8), _BOOL_AMONG_INTS),
+         "watermark values must be integers, got a bool"),
+        (lambda: hntt.hntt_1d([1, np.bool_(False), 0, 0]), "vector values must be integers, got a bool"),
+        (lambda: watermark.decompose(_BOOL_AMONG_INTS), "block pixels must be integers, got a bool"),
+        (lambda: engine.process_blocks([_BOOL_AMONG_INTS], watermark.checkerboard_cell()),
+         "image pixels must be integers, got a bool"),
+        (lambda: hntt.special_hntt_2d(_BEYOND_INT64_BESIDE_0), "block values must be in {0, 1, 2}, found 9223372036854775808"),
+        (lambda: watermark.embed_image(np.zeros((4, 4), np.uint8), _BEYOND_INT64_BESIDE_0),
+         "watermark values must be in {0, 1, 2}, found 9223372036854775808"),
+        (lambda: watermark.decompose(_BEYOND_INT64_BESIDE_0), "block pixels must be in [0, 255]"),
+        (lambda: watermark.embed_image(_BEYOND_INT64_BESIDE_0, watermark.checkerboard_cell()),
+         "image pixels must be in [0, 255]"),
+        (lambda: hntt.hntt_1d([2**63, 0.0, 0, 0]), "vector values must be integers, got dtype float64"),
     ],
     ids=["1d-short", "1d-value-3", "1d-bools", "2d-floats", "2d-none", "2d-beyond-64-bits", "2d-bool-and-big-int",
          "decompose-beyond-64-bits", "direct-4x4x1",
-         "decompose-float", "decompose-256", "decompose-4x3", "extract-str", "pixels-timedelta", "ternary-timedelta"],
+         "decompose-float", "decompose-256", "decompose-4x3", "extract-str", "pixels-timedelta", "ternary-timedelta",
+         "embed-block-bool-among-ints", "embed-image-bool-among-ints", "1d-numpy-bool-among-ints",
+         "decompose-bool-among-ints", "engine-bool-among-ints", "2d-2**63-beside-0", "embed-image-2**63-beside-0",
+         "decompose-2**63-beside-0", "image-2**63-beside-0", "1d-2**63-beside-a-float"],
 )
 def test_reference_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_an_ndarray_is_judged_by_its_dtype_alone():
+    # np.array makes the bool 1 in an int64 array: the array is an integer array
+    block = np.array(_BOOL_AMONG_INTS)
+    assert block.dtype == np.int64
+    assert hntt.special_hntt_2d(block) == hntt.special_hntt_2d(block.tolist())
+    assert np.array_equal(watermark.embed_image(np.full((4, 4), 100, np.uint8), block),
+                          watermark.embed_image(np.full((4, 4), 100, np.uint8), block.tolist()))
 
 
 def test_reference_functions_return_plain_ints_for_numpy_input():
