@@ -14,6 +14,10 @@ runs, platforms and languages:
 A pixel's LSB flips iff out(i) < floor(probability * 2^64), the product
 evaluated in IEEE-754 double precision.
 
+Every integer argument (step, delta, each rect value, seed, and
+flip_mask's height and width) passes imageio's integer rule, so a float
+or a bool is refused, not truncated.
+
 Real JPEG/JPEG2000 codecs are out of scope; the quantize attack stands
 in for compression-style small pixel perturbations, and externally
 degraded images can always be fed through the verify pipeline instead.
@@ -21,7 +25,7 @@ degraded images can always be fed through the verify pipeline instead.
 
 import numpy as np
 
-from .imageio import as_gray
+from .imageio import _integer, as_gray
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,6 +55,7 @@ def _splitmix64_block(seed: int, count: int) -> np.ndarray:
 
 def flip_mask(height: int, width: int, probability: float, seed: int) -> np.ndarray:
     """Boolean mask of the pixels lsb_flip will touch for these arguments."""
+    height, width, seed = _integer(height, "height", 0), _integer(width, "width", 0), _integer(seed, "seed")
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must be in [0, 1], got %r" % (probability,))
     if probability == 0.0:
@@ -70,12 +75,9 @@ def lsb_flip(image, probability: float, seed: int = 0) -> np.ndarray:
 
 def quantize(image, step: int) -> np.ndarray:
     """Map each pixel to round(pixel / step) * step, half up, clamped to 255."""
-    step = int(step)
-    if step < 1:
-        raise ValueError("step must be >= 1, got %d" % step)
     # Every pixel already rounds to 0 from step 511 up; the cap keeps the
     # int32 arithmetic below in range for any step.
-    step = min(step, 511)
+    step = min(_integer(step, "step", 1), 511)
     img = as_gray(image).astype(np.int32)
     q = (img * 2 + step) // (2 * step) * step
     return np.clip(q, 0, 255).astype(np.uint8)
@@ -88,7 +90,7 @@ def region_replace(image, rect, source) -> np.ndarray:
     examined.
     """
     img = as_gray(image)
-    x, y, w, h = (int(v) for v in rect)
+    x, y, w, h = (_integer(v, "rect value") for v in rect)
     ih, iw = img.shape
     if x < 0 or y < 0 or w < 0 or h < 0 or x + w > iw or y + h > ih:
         raise ValueError("rect (%d,%d,%d,%d) is outside a %dx%d image" % (x, y, w, h, iw, ih))
@@ -105,7 +107,7 @@ def region_replace(image, rect, source) -> np.ndarray:
 def intensity_shift(image, delta: int) -> np.ndarray:
     """Add delta to every pixel, clamped to [0, 255]."""
     # Beyond +-255 every pixel clamps the same way; capping keeps int32 in range.
-    delta = min(max(int(delta), -255), 255)
+    delta = min(max(_integer(delta, "delta"), -255), 255)
     img = as_gray(image).astype(np.int32)
     return np.clip(img + delta, 0, 255).astype(np.uint8)
 

@@ -10,9 +10,8 @@ that maps a dedicated 100 MHz one-block-per-cycle pipeline to 95.37 Hz
 at 4096x4096 (1e8 / 1_048_576); desk software is not expected to reach
 such rates, and none are asserted here, only reported.
 
-`workers`, `iterations` and the frame sizes are Python or numpy
-integers, not bools; anything else raises ValueError before any work
-starts, whatever the number of CPUs.
+`workers`, `iterations` and the frame sizes pass imageio's integer
+rule before any work starts, whatever the number of CPUs.
 """
 
 import dataclasses
@@ -20,8 +19,8 @@ import time
 
 import numpy as np
 
-from .imageio import as_pixels
-from .watermark import _embed, _integer, _pattern_cells, checkerboard_cell
+from .imageio import _integer, as_pixels
+from .watermark import _embed, _pattern_cells, checkerboard_cell
 
 
 def _as_block_stack(blocks) -> np.ndarray:

@@ -15,6 +15,8 @@ their own oracles.
 
 from dataclasses import dataclass
 
+from .imageio import _integer
+
 P = 3
 N = 4
 
@@ -40,14 +42,15 @@ def gf_inv(a: int) -> int:
 
 @dataclass(frozen=True)
 class GaussInt:
-    """Element re + j*im of GI(3), components reduced mod 3."""
+    """Element re + j*im of GI(3): integer components (imageio._integer),
+    reduced mod 3."""
 
     re: int
     im: int
 
     def __post_init__(self):
-        object.__setattr__(self, "re", self.re % P)
-        object.__setattr__(self, "im", self.im % P)
+        object.__setattr__(self, "re", _integer(self.re, "re") % P)
+        object.__setattr__(self, "im", _integer(self.im, "im") % P)
 
     def __add__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(self.re + other.re, self.im + other.im)

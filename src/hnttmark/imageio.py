@@ -1,4 +1,13 @@
-"""Grayscale image and watermark-pattern file I/O, padding, array validators.
+"""Grayscale image and watermark-pattern file I/O, padding, and the input rules.
+
+The package's two input rules live here.  An integer argument (a step,
+a seed, a worker count, a frame size, a threshold) passes `_integer`: a
+Python or numpy integer, not a bool, returned as a Python int; anything
+else is refused with "<name> must be an integer, got <value>", never
+truncated.  An array of integers passes `_integers`, which takes an
+integer dtype (not bool, not timedelta) or a list of Python ints, and
+then `as_pixels` (values in [0, 255]) or `as_ternary` (values in
+{0, 1, 2}); `as_gray` adds the non-empty 2-D shape of an image.
 
 The only native image format is PGM, chosen because round trips are
 trivially bit-exact.  Both binary (P5) and plain (P2) files are read;
@@ -32,6 +41,16 @@ _COMMENT_RE = re.compile(_COMMENT)
 # to the next whitespace or '#' (none left: an empty group)
 _TOKEN_RE = re.compile(rb"(?:\s|%s)*([^\s#]*)" % _COMMENT)
 _RANGE_ERROR = "PGM pixel value out of range [0, %d]"
+
+
+def _integer(value, name: str, low: int | None = None) -> int:
+    """value as a Python int: a Python or numpy integer, not a bool, and
+    at least `low` if given; else ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if low is not None and value < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
+    return int(value)
 
 
 def _integers(values, what: str) -> np.ndarray:

@@ -93,7 +93,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hntt
-from .imageio import as_gray, as_pixels, as_ternary, check_multiple_of_4
+from .imageio import _integer, as_gray, as_pixels, as_ternary, check_multiple_of_4
 
 # Pixel decomposition tables, indexed by pixel value: the block route's
 # reference, which the image routes compute in uint8 arithmetic instead.
@@ -183,16 +183,6 @@ def _pattern_cells(pattern, shape: tuple, shape_text: str) -> np.ndarray:
     if arr.shape == (4, 4) or arr.shape == shape:
         return as_ternary(pattern)
     raise ValueError("watermark pattern must be a 4x4 cell or %s, got shape %s" % (shape_text, arr.shape))
-
-
-def _integer(value, name: str, low: int | None = None) -> int:
-    """value as a Python int: a Python or numpy integer, not a bool, and
-    at least `low` if given; else ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    if low is not None and value < low:
-        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
-    return int(value)
 
 
 def _row_codes(a: np.ndarray) -> np.ndarray:

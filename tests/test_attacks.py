@@ -1,5 +1,7 @@
 """Attack determinism, generator correctness, and detection interplay."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,64 @@ def test_attack_spec_dispatch_and_determinism():
     }
     for kind, run in runs.items():
         assert np.array_equal(run(), run()), kind
+
+
+# ------------------------------------------------------ integer arguments
+
+# the odd scalars of test_engine_integer_arguments_fail_alike_on_any_host
+ODD_SCALARS = [2.5, 1.0, True, np.bool_(True), "2", None]
+
+# every integer argument of the attacks, by the name its message gives it
+INTEGER_ARGUMENTS = {
+    "step": lambda v: quantize(_image(20), v),
+    "delta": lambda v: intensity_shift(_image(21), v),
+    "rect value": lambda v: region_replace(_image(22), (v, 0, 2, 2), np.zeros((2, 2), dtype=np.uint8)),
+    "seed": lambda v: lsb_flip(_image(23), 0.5, seed=v),
+    "height": lambda v: flip_mask(v, 8, 0.5, 3),
+    "width": lambda v: flip_mask(8, v, 0.5, 3),
+}
+
+
+@pytest.mark.parametrize("value", ODD_SCALARS, ids=repr)
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+def test_attack_integer_arguments_reject_what_is_not_an_integer(name, value):
+    message = "%s must be an integer, got %r" % (name, value)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        INTEGER_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint64])
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+def test_attack_integer_arguments_take_numpy_integers(name, kind):
+    # the seed reaches the generator as a Python int: np.int64(5) & (2**64 - 1) overflows
+    assert np.array_equal(INTEGER_ARGUMENTS[name](kind(5)), INTEGER_ARGUMENTS[name](5))
+
+
+@pytest.mark.parametrize("probability", [0.0, 1.0])
+def test_lsb_flip_checks_its_seed_at_every_probability(probability):
+    with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+        lsb_flip(_image(), probability, seed=True)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        flip_mask(4, 4, probability, 1.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: quantize(_image(), 0), "step must be >= 1, got 0"),
+        (lambda: quantize(_image(), -(2**70)), "step must be >= 1, got %d" % -(2**70)),
+        (lambda: flip_mask(-1, 4, 0.5, 0), "height must be >= 0, got -1"),
+        (lambda: flip_mask(4, -4, 0.0, 0), "width must be >= 0, got -4"),
+        (lambda: region_replace(_image(), (0, 0, 2, 2, 0.5), None), "rect value must be an integer, got 0.5"),
+    ],
+    ids=["step-0", "step-huge-negative", "height-negative", "width-negative", "rect-long-float"],
+)
+def test_attack_integer_argument_messages(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("rect", [(0, 0, 2), (0, 0, 2, 2, 0), ()])
+def test_region_replace_rejects_a_rect_of_the_wrong_length(rect):
+    with pytest.raises(ValueError, match="values to unpack"):
+        region_replace(_image(), rect, np.zeros((2, 2), dtype=np.uint8))

@@ -1,5 +1,8 @@
 """GF(3) / GI(3) arithmetic and the fixed transform parameters."""
 
+import re
+
+import numpy as np
 import pytest
 
 from hnttmark.galois import (
@@ -132,3 +135,17 @@ def test_pythagorean_identity():
         s = ff_sin(i)
         assert c.im == 0 and s.im == 0
         assert c * c + s * s == GaussInt(1, 0)
+
+
+@pytest.mark.parametrize("value", [2.5, 1.0, True, np.bool_(True), "2", None], ids=repr)
+def test_gi_components_must_be_integers(value):
+    for name, args in (("re", (value, 0)), ("im", (0, value))):
+        with pytest.raises(ValueError, match="^%s$" % re.escape("%s must be an integer, got %r" % (name, value))):
+            GaussInt(*args)
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint64])
+def test_gi_takes_numpy_integers_as_python_ints(kind):
+    z = GaussInt(kind(5), kind(7))
+    assert z == GaussInt(5, 7) == GaussInt(2, 1)
+    assert type(z.re) is int and type(z.im) is int
