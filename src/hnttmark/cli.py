@@ -29,6 +29,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def integer(text: str, message: str = "not an integer") -> int:
+    """An optional '-' and then ASCII decimal digits, the PGM reader's
+    rule (imageio._decimal), as an int; else ValueError(message).  As
+    the type of an integer flag, argparse reports the flag instead."""
+    value = imageio._decimal(text.removeprefix("-"), message)
+    return -value if text.startswith("-") else value
+
+
 def _load_pattern(args) -> np.ndarray:
     if args.watermark:
         return imageio.load_watermark(args.watermark)
@@ -58,10 +66,7 @@ def _cmd_transform(args) -> int:
     tokens = sys.stdin.read().split()
     if len(tokens) != 16:
         raise ValueError("expected 16 block values on stdin, got %d" % len(tokens))
-    try:
-        block = [[int(t) for t in tokens[i : i + 4]] for i in range(0, 16, 4)]
-    except ValueError:
-        raise ValueError("block values must be integers") from None
+    block = [[integer(t, "block values must be integers") for t in tokens[i : i + 4]] for i in range(0, 16, 4)]
     if args.full:
         out = hntt.full_hntt_2d(block)
     elif args.inverse:
@@ -105,10 +110,7 @@ def _parse_rect(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("--rect must be X,Y,W,H")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError("--rect values must be integers") from None
+    return tuple(integer(p, "--rect values must be integers") for p in parts)
 
 
 def _cmd_attack(args) -> int:
@@ -168,7 +170,7 @@ def _verify_arguments(p) -> None:
     p.add_argument("--original", required=True)
     p.add_argument("--suspect", required=True)
     _pattern_arguments(p)
-    p.add_argument("--threshold", type=int, default=0, help="flag blocks with distance > K (default 0)")
+    p.add_argument("--threshold", type=integer, default=0, help="flag blocks with distance > K (default 0)")
     p.add_argument("--report", help="also write the report as JSON to this path")
 
 
@@ -177,18 +179,18 @@ def _attack_arguments(p) -> None:
     p.add_argument("--output", required=True)
     p.add_argument("--type", required=True, choices=list(attacks.ATTACK_KINDS))
     p.add_argument("--prob", type=float, default=0.01, help="lsb_flip probability (default 0.01)")
-    p.add_argument("--step", type=int, default=2, help="quantize step (default 2)")
-    p.add_argument("--delta", type=int, default=1, help="intensity_shift amount (default 1)")
+    p.add_argument("--step", type=integer, default=2, help="quantize step (default 2)")
+    p.add_argument("--delta", type=integer, default=1, help="intensity_shift amount (default 1)")
     p.add_argument("--rect", help="region_replace rectangle X,Y,W,H")
     p.add_argument("--source", help="region_replace replacement PGM (same size as rect)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    p.add_argument("--seed", type=integer, default=0, help="generator seed (default 0)")
 
 
 def _bench_arguments(p) -> None:
-    p.add_argument("--width", type=int, default=1024)
-    p.add_argument("--height", type=int, default=1024)
-    p.add_argument("--iters", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--width", type=integer, default=1024)
+    p.add_argument("--height", type=integer, default=1024)
+    p.add_argument("--iters", type=integer, default=5)
+    p.add_argument("--workers", type=integer, default=1)
     p.add_argument("--json", action="store_true", help="print the result as JSON")
 
 

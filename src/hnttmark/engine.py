@@ -80,17 +80,18 @@ class BenchResult:
         )
 
 
-def _frame_blocks(frame_width: int, frame_height: int) -> int:
-    """Blocks per frame, for dimensions that are positive multiples of 4."""
+def _frame(frame_width: int, frame_height: int) -> tuple[int, int, int]:
+    """Width, height and blocks per frame as Python ints, for dimensions
+    that are positive multiples of 4."""
     width, height = _integer(frame_width, "frame_width"), _integer(frame_height, "frame_height")
     if width <= 0 or height <= 0 or width % 4 or height % 4:
         raise ValueError("frame dimensions must be positive multiples of 4, got %dx%d" % (width, height))
-    return (width // 4) * (height // 4)
+    return width, height, (width // 4) * (height // 4)
 
 
 def frame_rate_equivalent(blocks_per_second: float, frame_width: int, frame_height: int) -> float:
     """Frame rate a given block throughput sustains at a given resolution."""
-    return blocks_per_second / _frame_blocks(frame_width, frame_height)
+    return blocks_per_second / _frame(frame_width, frame_height)[2]
 
 
 def _synthetic_frame(width: int, height: int) -> np.ndarray:
@@ -110,7 +111,7 @@ def benchmark(
 ) -> BenchResult:
     """Embed synthetic frames repeatedly and report measured throughput."""
     iterations = _integer(iterations, "iterations", 1)
-    frame_blocks = _frame_blocks(frame_width, frame_height)
+    frame_width, frame_height, frame_blocks = _frame(frame_width, frame_height)
     frame = _synthetic_frame(frame_width, frame_height)
     stack = frame.reshape(frame_height // 4, 4, frame_width // 4, 4).swapaxes(1, 2).reshape(-1, 4, 4)
     cell = checkerboard_cell()

@@ -1,13 +1,17 @@
 """Grayscale image and watermark-pattern file I/O, padding, and the input rules.
 
-The package's two input rules live here.  An integer argument (a step,
-a seed, a worker count, a frame size, a threshold) passes `_integer`: a
+The package's input rules live here.  An integer argument (a step, a
+seed, a worker count, a frame size, a threshold) passes `_integer`: a
 Python or numpy integer, not a bool, returned as a Python int; anything
 else is refused with "<name> must be an integer, got <value>", never
-truncated.  An array of integers passes `_integers`, which takes an
-integer dtype (not bool, not timedelta) or a list of Python ints, and
-then `as_pixels` (values in [0, 255]) or `as_ternary` (values in
-{0, 1, 2}); `as_gray` adds the non-empty 2-D shape of an image.
+truncated.  Integer text (a PGM header field or sample) passes
+`_decimal`: ASCII decimal digits only, with no sign, '_' or space; the
+CLI reads its integer flags, `--rect` values and `transform` tokens by
+the same rule after an optional '-'.  An array of integers passes
+`_integers`, which takes an integer dtype (not bool, not timedelta) or
+a list of Python ints, and then `as_pixels` (values in [0, 255]) or
+`as_ternary` (values in {0, 1, 2}); `as_gray` adds the non-empty 2-D
+shape of an image.
 
 The only native image format is PGM, chosen because round trips are
 trivially bit-exact.  Both binary (P5) and plain (P2) files are read;
@@ -119,11 +123,12 @@ def check_multiple_of_4(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _decimal(token: bytes, message: str) -> int:
+def _decimal(token: str | bytes, message: str) -> int:
     """Parse ASCII decimal digits, or raise ValueError(message).  int()
-    alone also takes '+', '-' and '_', and refuses more digits than
-    sys.get_int_max_str_digits() with its own message."""
-    if token.isdigit():
+    alone also takes '+', '-', '_', surrounding whitespace and non-ASCII
+    digits such as '١' (str.isdigit() passes '²' too), and refuses more
+    digits than sys.get_int_max_str_digits() with its own message."""
+    if token.isascii() and token.isdigit():
         try:
             return int(token)
         except ValueError:

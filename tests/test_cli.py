@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -45,6 +46,16 @@ def test_python_dash_m_runs_the_cli_quietly():
     assert proc.returncode == EXIT_OK
     assert proc.stderr == ""
     assert "cas table: 1 1 2 2" in proc.stdout
+
+
+def test_main_reads_sys_argv_under_python_dash_m(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["hnttmark", "params"])
+    try:
+        runpy.run_module("hnttmark", run_name="__main__")
+    except SystemExit as exit:
+        assert exit.code == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and "cas table: 1 1 2 2" in out
 
 
 def test_transform_forward(monkeypatch, capsys):
@@ -352,3 +363,62 @@ def test_bench_text(capsys):
     out = capsys.readouterr().out
     assert "blocks_per_second" in out
     assert "equivalent_frame_rate" in out
+
+
+# integer text that int() takes or that looks numeric, but is not an optional
+# '-' and ASCII decimal digits: the PGM reader refuses each of these too
+_NOT_INTEGERS = ["1_0", "+3", " 8 ", "\u0661\u0662", "\u00b2", "0x10", "1e3", "-", "--5", "", "9" * 5000]
+_INTEGER_FLAGS = {
+    "verify": (["--original", "o.pgm", "--suspect", "s.pgm"], ["--threshold"]),
+    "attack": (["--input", "i.pgm", "--output", "o.pgm", "--type", "quantize"], ["--step", "--delta", "--seed"]),
+    "bench": ([], ["--width", "--height", "--iters", "--workers"]),
+}
+
+
+def test_integer_flags_take_an_optional_minus_and_ascii_digits():
+    for command, (required, flags) in _INTEGER_FLAGS.items():
+        parser = _subparsers(build_parser(command))[command]
+        assert sorted(a.option_strings[0] for a in parser._actions if a.type is cli.integer) == sorted(flags)
+        for flag in flags:
+            dest = flag[2:]
+            for text in ["0", "007", "12", "-3", "-0", "9" * 23, "-" + "9" * 23]:
+                args = build_parser(command).parse_args([command, *required, "%s=%s" % (flag, text)])
+                assert getattr(args, dest) == int(text) and type(getattr(args, dest)) is int
+
+
+def test_integer_flags_refuse_other_text_with_one_line(capsys):
+    for command, (required, flags) in _INTEGER_FLAGS.items():
+        for flag in flags:
+            for text in _NOT_INTEGERS:
+                assert main([command, *required, "%s=%s" % (flag, text)]) == EXIT_ERROR
+                assert capsys.readouterr() == ("", "error: argument %s: invalid integer value: %r\n" % (flag, text))
+
+
+def test_rect_values_refuse_other_text_with_one_line(tmp_path, capsys):
+    source = tmp_path / "in.pgm"
+    patch = tmp_path / "patch.pgm"
+    _make_image(source, seed=8)
+    imageio.save_pgm(patch, np.zeros((4, 4), dtype=np.uint8))
+    base = ["attack", "--input", str(source), "--output", str(tmp_path / "o.pgm"),
+            "--type", "region_replace", "--source", str(patch)]
+    for text in _NOT_INTEGERS + ["a"]:
+        for rect in ("%s,4,4,4" % text, "8,4,4,%s" % text):
+            assert main(base + ["--rect=" + rect]) == EXIT_ERROR
+            assert capsys.readouterr() == ("", "error: --rect values must be integers\n")
+    assert not (tmp_path / "o.pgm").exists()
+    # a leading zero and a negative zero are integers, as before
+    assert main(base + ["--rect=-0,008,04,4"]) == EXIT_OK
+    assert not imageio.load_pgm(tmp_path / "o.pgm")[8:12, 0:4].any()
+
+
+def test_transform_tokens_refuse_other_text_with_one_line(monkeypatch, capsys):
+    for text in [t for t in _NOT_INTEGERS if t.strip() == t and t] + ["a", "1.0"]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["0"] * 15 + [text])))
+        assert main(["transform"]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: block values must be integers\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["0"] * 15 + ["-1"])))
+    assert main(["transform"]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: block values must be in {0, 1, 2}, found -1\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("001 -0 0 00  0 0 0 0  0 0 0 0  0 0 0 0"))
+    assert main(["transform"]) == EXIT_OK
+    assert capsys.readouterr().out == "1 1 1 1\n1 1 1 1\n1 1 1 1\n1 1 1 1\n"

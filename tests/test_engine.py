@@ -1,5 +1,6 @@
 """Parallel block engine: determinism, reference equivalence, benchmark math."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -143,6 +144,9 @@ def test_engine_integer_arguments_fail_alike_on_any_host(monkeypatch, inline_poo
 def test_engine_takes_numpy_integer_arguments():
     result = benchmark(np.int64(8), np.int32(8), iterations=np.int16(1), workers=np.uint8(2))
     assert type(result.worker_count) is int and result.worker_count == 2
+    # the stored frame sizes are the checked Python ints, so the result serializes
+    assert (type(result.frame_width), type(result.frame_height)) == (int, int)
+    assert json.loads(json.dumps(result.as_dict()))["frame_width"] == 8
     assert np.array_equal(process_blocks(_blocks(3), checkerboard_cell(), workers=np.int64(2)),
                           process_blocks(_blocks(3), checkerboard_cell()))
 

@@ -137,6 +137,10 @@ def test_pythagorean_identity():
         assert c * c + s * s == GaussInt(1, 0)
 
 
+def test_gi_str():
+    assert [str(GaussInt(*z)) for z in ((2, 0), (0, 1), (0, 2), (1, 2))] == ["2", "j", "2j", "1 + 2j"]
+
+
 @pytest.mark.parametrize("value", [2.5, 1.0, True, np.bool_(True), "2", None], ids=repr)
 def test_gi_components_must_be_integers(value):
     for name, args in (("re", (value, 0)), ("im", (0, value))):

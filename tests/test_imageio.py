@@ -218,6 +218,9 @@ def test_watermark_validation():
         write_watermark(np.full((4, 4), 3, dtype=np.uint8))
     with pytest.raises(ValueError):
         write_watermark(np.zeros((4, 5), dtype=np.uint8))
+    for shape in ((16,), (0, 4), (0, 0)):
+        with pytest.raises(ValueError, match="^watermark pattern must be a non-empty 2-D integer array$"):
+            write_watermark(np.zeros(shape, dtype=np.uint8))
 
 
 def test_watermark_values_are_checked_once_by_the_right_reader():

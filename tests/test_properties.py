@@ -5,11 +5,11 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hnttmark import engine, hntt, watermark
+from hnttmark import cli, engine, hntt, imageio, watermark
 from hnttmark.engine import process_blocks
 from hnttmark.imageio import read_pgm
 from hnttmark.watermark import (
@@ -338,3 +338,33 @@ def test_pgm_separators_read_like_single_spaces(img, magic, data):
     for pgm in (single, spelt):
         out = read_pgm(pgm)
         assert out.dtype == np.uint8 and np.array_equal(out, img)
+
+
+# digit-like and sign-like characters beside ASCII digits: '_', '+', space,
+# Arabic-Indic and superscript digits, full-width '1', and hex or exponent letters
+_NEAR_DIGITS = st.text(alphabet="0123456789_+ \t\u0661\u0662\u00b2\uff11xe", max_size=8)
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.text(max_size=8), _NEAR_DIGITS, st.from_regex(r"[0-9]{1,30}", fullmatch=True)).filter(
+    lambda text: not text.startswith("-")))
+@example("1_0")
+@example("+3")
+@example(" 8")
+@example("\u0661\u0662")
+@example("\u00b2")
+@example("0x10")
+@example("1e3")
+@example("")
+@example("9" * 5000)
+def test_cli_integers_read_like_pgm_numbers(text):
+    # the CLI's integer text and the PGM reader's numbers share one grammar:
+    # text without a leading '-' is accepted by both or by neither, with one value
+    try:
+        want = imageio._decimal(text.encode(), "refused")
+    except ValueError:
+        with pytest.raises(ValueError):
+            cli.integer(text)
+    else:
+        assert cli.integer(text) == want == int(text)
+        assert cli.integer("-" + text) == -want
