@@ -29,12 +29,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def integer(text: str, message: str = "not an integer") -> int:
-    """An optional '-' and then ASCII decimal digits, the PGM reader's
-    rule (imageio._decimal), as an int; else ValueError(message).  As
-    the type of an integer flag, argparse reports the flag instead."""
-    value = imageio._decimal(text.removeprefix("-"), message)
-    return -value if text.startswith("-") else value
+def integer(text: str | bytes, message: str = "not an integer") -> int:
+    """An optional '-' and then ASCII decimal digits, in str or bytes,
+    the PGM reader's rule (imageio._decimal), as an int; else
+    ValueError(message).  As the type of an integer flag, argparse
+    reports the flag instead."""
+    minus = b"-" if isinstance(text, bytes) else "-"
+    value = imageio._decimal(text.removeprefix(minus), message)
+    return -value if text.startswith(minus) else value
 
 
 def _load_pattern(args) -> np.ndarray:
@@ -63,10 +65,14 @@ def _yesno(flag: bool) -> str:
 
 
 def _cmd_transform(args) -> int:
-    tokens = sys.stdin.read().split()
-    if len(tokens) != 16:
-        raise ValueError("expected 16 block values on stdin, got %d" % len(tokens))
-    block = [[integer(t, "block values must be integers") for t in tokens[i : i + 4]] for i in range(0, 16, 4)]
+    # Python sets sys.stdin to None when fd 0 is closed.  The bytes split
+    # on ASCII whitespace only, as the PGM reader splits its samples.
+    if sys.stdin is None:
+        raise ValueError("stdin is closed, expected 16 block values")
+    values = [integer(t, "block values must be integers") for t in sys.stdin.buffer.read().split()]
+    if len(values) != 16:
+        raise ValueError("expected 16 block values on stdin, got %d" % len(values))
+    block = [values[i : i + 4] for i in range(0, 16, 4)]
     if args.full:
         out = hntt.full_hntt_2d(block)
     elif args.inverse:

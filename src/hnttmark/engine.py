@@ -26,10 +26,8 @@ from .watermark import _embed, _pattern_cells, checkerboard_cell
 def _as_block_stack(blocks) -> np.ndarray:
     if isinstance(blocks, (list, tuple)) and len(blocks) == 0:
         return np.zeros((0, 4, 4), dtype=np.uint8)
-    arr = np.asarray(blocks)
-    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
-        raise ValueError("expected a stack of 4x4 blocks, got shape %s" % (arr.shape,))
-    return as_pixels(blocks)
+    message = "expected a stack of 4x4 blocks, got shape %s"
+    return as_pixels(blocks, shape=lambda got: None if len(got) == 3 and got[1:] == (4, 4) else message % (got,))
 
 
 def process_blocks(blocks, pattern, workers: int = 1) -> np.ndarray:

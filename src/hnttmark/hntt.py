@@ -34,8 +34,6 @@ cas table from zeta = j.
 
 from operator import mul
 
-import numpy as np
-
 from .galois import N, cas_table
 from .imageio import as_ternary
 
@@ -63,10 +61,8 @@ def _checked(x, shape: tuple, name: str, values=as_ternary) -> list:
     """x as nested lists of Python ints, checked once: an array of `shape`
     whose values pass `values` (as_ternary, or imageio.as_pixels for
     pixels), named `name` in the error.  Anything else raises ValueError."""
-    arr = np.asarray(x)
-    if arr.shape != shape:
-        raise ValueError("%s must have shape %s, got shape %s" % (name, shape, arr.shape))
-    return values(x, name).tolist()
+    message = "%s must have shape %s, got shape %%s" % (name, shape)
+    return values(x, name, shape=lambda got: None if got == shape else message % (got,)).tolist()
 
 
 def _butterfly(x0, x1, x2, x3) -> list[int]:

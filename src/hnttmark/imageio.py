@@ -7,11 +7,13 @@ else is refused with "<name> must be an integer, got <value>", never
 truncated.  Integer text (a PGM header field or sample) passes
 `_decimal`: ASCII decimal digits only, with no sign, '_' or space; the
 CLI reads its integer flags, `--rect` values and `transform` tokens by
-the same rule after an optional '-'.  An array of integers passes
-`_integers`, which takes an integer dtype (not bool, not timedelta) or
-a list of Python ints, and then `as_pixels` (values in [0, 255]) or
-`as_ternary` (values in {0, 1, 2}); `as_gray` adds the non-empty 2-D
-shape of an image.
+the same rule after an optional '-'.  An array argument passes one
+gate, `_integers`, which converts it once and judges it in a fixed
+order: first its shape, by the rule its caller gives (the non-empty 2-D
+shape of an image in `as_gray`, a 4x4 block in the reference route, and
+so on); then its dtype, an integer one (not bool, not timedelta) or a
+list of Python ints; then, in `as_pixels` or `as_ternary`, its range,
+[0, 255] or {0, 1, 2}.  So a wrong shape is reported before a wrong value.
 
 The only native image format is PGM, chosen because round trips are
 trivially bit-exact.  Both binary (P5) and plain (P2) files are read;
@@ -57,10 +59,12 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """values as an array of a signed or unsigned integer dtype (not bool,
-    not timedelta), or of Python ints only, which numpy holds as objects
-    when one does not fit 64 bits; else ValueError naming `what`.
+def _integers(values, what: str, shape=None) -> np.ndarray:
+    """values converted once and judged in order: its shape by the rule
+    `shape`, if given, a function of the shape that returns the error
+    message or None; then its dtype, a signed or unsigned integer one
+    (not bool, not timedelta), or Python ints only, which numpy holds as
+    objects when one does not fit 64 bits; else ValueError naming `what`.
 
     An ndarray is judged by its dtype alone.  Other input, a nested list
     say, is judged by its leaves when numpy gives it a number dtype: a
@@ -68,45 +72,51 @@ def _integers(values, what: str) -> np.ndarray:
     float64 (2**63 beside 0) are held as objects, like those beyond 64 bits.
     """
     arr = np.asarray(values)
+    if shape and (message := shape(arr.shape)):
+        raise ValueError(message)
     if not isinstance(values, np.ndarray) and arr.dtype.kind in "iuf":
-        kinds = set(map(type, np.asarray(values, dtype=object).flat))
+        leaves = np.asarray(values, dtype=object)
+        kinds = set(map(type, leaves.flat))
         if bool in kinds or np.bool_ in kinds:
             raise ValueError("%s must be integers, got a bool" % what)
-        arr = np.asarray(values, dtype=object) if arr.dtype.kind == "f" and kinds == {int} else arr
+        arr = leaves if arr.dtype.kind == "f" and kinds == {int} else arr
     if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "O" and all(type(v) is int for v in arr.flat)):
         raise ValueError("%s must be integers, got dtype %s" % (what, arr.dtype))
     return arr
 
 
-def as_pixels(pixels, name: str = "image") -> np.ndarray:
+def as_pixels(pixels, name: str = "image", shape=None) -> np.ndarray:
     """Validate an integer array of 8-bit pixel values and return it as uint8.
 
     Any shape is accepted, empty included (an image, an (n, 4, 4) block
-    stack); callers check the shape they need.  Bools are not integers
-    here.  `name` leads the error message.
+    stack), unless the rule `shape` of _integers refuses it first.  Bools
+    are not integers here.  `name` leads the error message.
     """
-    arr = _integers(pixels, name + " pixels")
+    arr = _integers(pixels, name + " pixels", shape)
     if arr.dtype != np.uint8 and arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("%s pixels must be in [0, 255]" % name)
     return arr.astype(np.uint8, copy=False)
 
 
+def _plane(message: str):
+    """The shape rule of a non-empty 2-D array: any other shape is refused
+    with `message`, which may name it as %(shape)s."""
+    return lambda shape: None if len(shape) == 2 and 0 not in shape else message % {"shape": shape}
+
+
 def as_gray(image) -> np.ndarray:
     """Validate an array-like as a grayscale image and return it as uint8."""
-    arr = np.asarray(image)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("image must be a non-empty 2-D array, got shape %s" % (arr.shape,))
-    return as_pixels(image)
+    return as_pixels(image, shape=_plane("image must be a non-empty 2-D array, got shape %(shape)s"))
 
 
-def as_ternary(pattern, name: str = "watermark") -> np.ndarray:
+def as_ternary(pattern, name: str = "watermark", shape=None) -> np.ndarray:
     """Validate an integer array of GF(3) values {0, 1, 2} and return it as uint8.
 
     Any shape is accepted, empty included (a 2-D grid, a 4x4 cell, an
-    (n, 4, 4) cell stack); callers check the shape they need.  Bools are
-    not integers here.  `name` leads the error message.
+    (n, 4, 4) cell stack), unless the rule `shape` of _integers refuses
+    it first.  Bools are not integers here.  `name` leads the error message.
     """
-    arr = _integers(pattern, name + " values")
+    arr = _integers(pattern, name + " values", shape)
     if arr.size:
         low = arr.min() if arr.dtype.kind != "u" else 0  # unsigned values are never negative
         high = arr.max()
@@ -220,9 +230,7 @@ def read_watermark(data: bytes) -> np.ndarray:
 
 def _watermark_parts(pattern) -> tuple[bytes, np.ndarray]:
     """_pgm_parts of a validated ternary pattern, with maxval 2."""
-    arr = as_ternary(pattern)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("watermark pattern must be a non-empty 2-D integer array")
+    arr = as_ternary(pattern, shape=_plane("watermark pattern must be a non-empty 2-D integer array"))
     return _pgm_parts(check_multiple_of_4(arr, "watermark"), 2)
 
 

@@ -179,10 +179,8 @@ def extract_block(original, suspect) -> list[list[int]]:
 def _pattern_cells(pattern, shape: tuple, shape_text: str) -> np.ndarray:
     """Validate a pattern as a 4x4 cell or an array of `shape`, named by
     `shape_text` in the error, and return it as uint8."""
-    arr = np.asarray(pattern)
-    if arr.shape == (4, 4) or arr.shape == shape:
-        return as_ternary(pattern)
-    raise ValueError("watermark pattern must be a 4x4 cell or %s, got shape %s" % (shape_text, arr.shape))
+    message = "watermark pattern must be a 4x4 cell or %s, got shape %%s" % shape_text
+    return as_ternary(pattern, shape=lambda got: None if got in ((4, 4), shape) else message % (got,))
 
 
 def _row_codes(a: np.ndarray) -> np.ndarray:

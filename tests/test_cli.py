@@ -22,6 +22,11 @@ def _make_image(path, seed=0, shape=(32, 32)):
     return img
 
 
+def _stdin(text: str):
+    """A text stdin over UTF-8 bytes, with the .buffer that transform reads."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
+
+
 def test_params_output(capsys):
     assert main(["params"]) == EXIT_OK
     assert capsys.readouterr().out == (
@@ -59,38 +64,51 @@ def test_main_reads_sys_argv_under_python_dash_m(monkeypatch, capsys):
 
 
 def test_transform_forward(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0 0  0 0 0 0  0 0 0 0  0 0 0 0"))
+    monkeypatch.setattr("sys.stdin", _stdin("1 0 0 0  0 0 0 0  0 0 0 0  0 0 0 0"))
     assert main(["transform"]) == EXIT_OK
     assert capsys.readouterr().out == "1 1 1 1\n1 1 1 1\n1 1 1 1\n1 1 1 1\n"
 
 
 def test_transform_inverse(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1"))
+    monkeypatch.setattr("sys.stdin", _stdin("1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1"))
     assert main(["transform", "--inverse"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out == "1 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
 
 
 def test_transform_full(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0 0  0 0 0 0  0 0 0 0  0 0 0 0"))
+    monkeypatch.setattr("sys.stdin", _stdin("1 0 0 0  0 0 0 0  0 0 0 0  0 0 0 0"))
     assert main(["transform", "--full"]) == EXIT_OK
     assert capsys.readouterr().out == "1 1 1 1\n1 1 1 1\n1 1 1 1\n1 1 1 1\n"
 
 
 def test_transform_bad_input(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
+    monkeypatch.setattr("sys.stdin", _stdin("1 2 3"))
     assert main(["transform"]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
     for flags in ([], ["--inverse"], ["--full"]):
-        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["5"] * 16)))
+        monkeypatch.setattr("sys.stdin", _stdin(" ".join(["5"] * 16)))
         assert main(["transform"] + flags) == EXIT_ERROR
         assert capsys.readouterr() == ("", "error: block values must be in {0, 1, 2}, found 5\n")
     # values past 64 bits, which numpy holds only as objects or floats, get
     # the same range message, naming the value
     for value in ["9" * 20 + "0" * 15, "-" + "9" * 20 + "0" * 15, str(2**63), str(-(2**63) - 1)]:
-        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["0"] * 15 + [value])))
+        monkeypatch.setattr("sys.stdin", _stdin(" ".join(["0"] * 15 + [value])))
         assert main(["transform"]) == EXIT_ERROR
         assert capsys.readouterr() == ("", "error: block values must be in {0, 1, 2}, found %s\n" % value)
+
+
+def test_transform_with_stdin_closed_gives_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", None)  # what Python sets when fd 0 is closed
+    for flags in ([], ["--inverse"], ["--full"]):
+        assert main(["transform"] + flags) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: stdin is closed, expected 16 block values\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hnttmark.__file__)))
+    # the same from a shell that starts the interpreter with fd 0 closed
+    proc = subprocess.run(["sh", "-c", '"$0" -m hnttmark transform <&-', sys.executable],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == "error: stdin is closed, expected 16 block values\n"
 
 
 def test_embed_extract_round_trip_is_byte_identical(tmp_path):
@@ -413,12 +431,20 @@ def test_rect_values_refuse_other_text_with_one_line(tmp_path, capsys):
 
 def test_transform_tokens_refuse_other_text_with_one_line(monkeypatch, capsys):
     for text in [t for t in _NOT_INTEGERS if t.strip() == t and t] + ["a", "1.0"]:
-        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["0"] * 15 + [text])))
+        monkeypatch.setattr("sys.stdin", _stdin(" ".join(["0"] * 15 + [text])))
         assert main(["transform"]) == EXIT_ERROR
         assert capsys.readouterr() == ("", "error: block values must be integers\n")
-    monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["0"] * 15 + ["-1"])))
+    monkeypatch.setattr("sys.stdin", _stdin(" ".join(["0"] * 15 + ["-1"])))
     assert main(["transform"]) == EXIT_ERROR
     assert capsys.readouterr() == ("", "error: block values must be in {0, 1, 2}, found -1\n")
-    monkeypatch.setattr("sys.stdin", io.StringIO("001 -0 0 00  0 0 0 0  0 0 0 0  0 0 0 0"))
+    monkeypatch.setattr("sys.stdin", _stdin("001 -0 0 00  0 0 0 0  0 0 0 0  0 0 0 0"))
+    assert main(["transform"]) == EXIT_OK
+    assert capsys.readouterr().out == "1 1 1 1\n1 1 1 1\n1 1 1 1\n1 1 1 1\n"
+    # stdin splits on ASCII whitespace only, as plain PGM samples do: "0",
+    # U+3000, "0" is one token, which str.split() would cut in two
+    monkeypatch.setattr("sys.stdin", _stdin("1 0 0\u30000" + " 0" * 12))
+    assert main(["transform"]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: block values must be integers\n")
+    monkeypatch.setattr("sys.stdin", _stdin("1\t0\r\n0\x0b0\x0c" + " 0" * 12))
     assert main(["transform"]) == EXIT_OK
     assert capsys.readouterr().out == "1 1 1 1\n1 1 1 1\n1 1 1 1\n1 1 1 1\n"

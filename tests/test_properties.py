@@ -1,7 +1,14 @@
-"""Property tests: the vectorized image and engine routes against the block oracles."""
+"""Property tests: the vectorized image and engine routes against the block
+oracles, and generated input for the PGM reader and the CLI."""
 
+import argparse
+import io
 import json
+import os
+import sys
+import tempfile
 from collections import deque
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -359,12 +366,105 @@ _NEAR_DIGITS = st.text(alphabet="0123456789_+ \t\u0661\u0662\u00b2\uff11xe", max
 @example("9" * 5000)
 def test_cli_integers_read_like_pgm_numbers(text):
     # the CLI's integer text and the PGM reader's numbers share one grammar:
-    # text without a leading '-' is accepted by both or by neither, with one value
+    # text without a leading '-' is accepted by both or by neither, with one
+    # value, and cli.integer reads it alike as str and as UTF-8 bytes
     try:
         want = imageio._decimal(text.encode(), "refused")
     except ValueError:
-        with pytest.raises(ValueError):
-            cli.integer(text)
+        for token in (text, text.encode(), "-" + text, b"-" + text.encode()):
+            with pytest.raises(ValueError, match="^refused$"):
+                cli.integer(token, "refused")
     else:
-        assert cli.integer(text) == want == int(text)
-        assert cli.integer("-" + text) == -want
+        assert cli.integer(text) == cli.integer(text.encode()) == want == int(text)
+        assert cli.integer("-" + text) == cli.integer(b"-" + text.encode()) == -want
+
+
+# Edge values for every CLI flag: empty, '-', signs, a huge integer (odd, so
+# no frame size takes it), more digits than int() takes, non-ASCII text, a float, a rect, and the names
+# of the files that the fuzz below writes (img.pgm and wm.pgm are valid,
+# a.pgm and b.pgm come from pgm_like(), missing.pgm is never written).
+_FILES = ["img.pgm", "wm.pgm", "a.pgm", "b.pgm", "missing.pgm"]
+_HUGE_INTEGER = "9" * 30
+_EDGE_VALUES = ["", "-", "0", "2", "-1", _HUGE_INTEGER, "9" * 5000, "\u0663", "\u00e9", "0.5", "nan", "1,1,1,1"]
+_EDGE_VALUES += _FILES
+
+
+def _cli_flags():
+    """Each command's options but --help as (flag, takes a value, choices), read from the parser."""
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        name: [
+            (a.option_strings[-1], a.nargs != 0, list(a.choices or []))
+            for a in p._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in commands.items()
+    }
+
+
+_CLI_FLAGS = _cli_flags()
+# arguments that make each command run, which drawn options then replace or add to
+_CLI_BASES = {
+    "embed": ["--input", "img.pgm", "--output", "out.pgm"],
+    "extract": ["--original", "img.pgm", "--suspect", "img.pgm", "--output", "out.pgm"],
+    "verify": ["--original", "img.pgm", "--suspect", "img.pgm"],
+    "attack": ["--input", "img.pgm", "--output", "out.pgm", "--type", "quantize"],
+    "bench": ["--width", "8", "--height", "8"],  # small frames; a drawn size replaces them
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A command, or an edge value in its place, maybe the arguments that
+    make it run, and some of its options, each with a value drawn from its
+    choices and _EDGE_VALUES; now and then --help."""
+    command = draw(st.sampled_from(list(_CLI_FLAGS)) if draw(st.integers(0, 7)) else st.sampled_from(["", "-", "nope"]))
+    argv = [command]
+    if command == "bench" or draw(st.booleans()):
+        argv += _CLI_BASES.get(command, [])
+    flags = _CLI_FLAGS.get(command)
+    for flag, takes_value, choices in draw(st.lists(st.sampled_from(flags), max_size=4)) if flags else []:
+        if not takes_value:
+            argv.append(flag)
+            continue
+        # a huge --iters is a valid, endless benchmark
+        values = [v for v in choices + _EDGE_VALUES if not (flag == "--iters" and v == _HUGE_INTEGER)]
+        value = draw(st.sampled_from(values))
+        argv += draw(st.sampled_from([[flag, value], ["%s=%s" % (flag, value)]]))
+    if draw(st.integers(0, 31)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), "--help")
+    return argv
+
+
+@settings(max_examples=300)
+@given(cli_argv(), st.sampled_from([None, b"", b"1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2", b"0 1 2\n\xe3\x80\x80 x"]),
+       pgm_like(), pgm_like())
+@example(["transform"], None, b"", b"")  # a closed stdin
+@example(["transform", "--full"], "1 0 0\u30000".encode() + b" 0" * 12, b"", b"")  # U+3000 is not ASCII whitespace
+def test_cli_exits_0_1_or_2_with_one_error_line(argv, stdin, a, b):
+    # main never lets an exception escape: it exits 0, 1 or 2, exit 1
+    # writes exactly one 'error:' line to stderr, and --help exits 0
+    here = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)  # every output path, '-' and '' included, lands here
+        try:
+            imageio.save_pgm("img.pgm", np.arange(256, dtype=np.uint8).reshape(16, 16))
+            imageio.save_watermark("wm.pgm", watermark.checkerboard_cell())
+            for name, data in (("a.pgm", a), ("b.pgm", b)):
+                with open(name, "wb") as fh:
+                    fh.write(data)
+            sys.stdin = None if stdin is None else io.TextIOWrapper(io.BytesIO(stdin))
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(list(argv))
+        except SystemExit as exit:
+            assert exit.code == 0 and ("--help" in argv or "-h" in argv)
+            return
+        finally:
+            sys.stdin = saved
+            os.chdir(here)
+    assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_TAMPERED)
+    if code == cli.EXIT_ERROR:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")

@@ -5,6 +5,8 @@ and reject the same inputs, with the same kind of message, and the image
 routes must never run the reference route.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -13,7 +15,9 @@ from hypothesis.extra.numpy import arrays
 
 from hnttmark import engine, hntt, watermark
 from hnttmark.cli import EXIT_OK, EXIT_TAMPERED, main
-from hnttmark.imageio import as_pixels, as_ternary, load_pgm, load_watermark, save_pgm, save_watermark
+from hnttmark.imageio import (
+    as_pixels, as_ternary, load_pgm, load_watermark, save_pgm, save_watermark, write_pgm, write_watermark,
+)
 
 # Scalars that are not GF(3) values or pixels, or not of an integer dtype.
 _ODD_SCALARS = [
@@ -189,13 +193,25 @@ def test_reference_functions_raise_only_value_errors_and_return_ints(block, row)
         (lambda: watermark.embed_image(_BEYOND_INT64_BESIDE_0, watermark.checkerboard_cell()),
          "image pixels must be in [0, 255]"),
         (lambda: hntt.hntt_1d([2**63, 0.0, 0, 0]), "vector values must be integers, got dtype float64"),
+        # every array entry point judges shape before dtype and range
+        (lambda: write_watermark([[[0.5]]]), "watermark pattern must be a non-empty 2-D integer array"),
+        (lambda: save_watermark(os.devnull, [[[0.5]]]), "watermark pattern must be a non-empty 2-D integer array"),
+        (lambda: save_watermark(os.devnull, [True, False]), "watermark pattern must be a non-empty 2-D integer array"),
+        (lambda: write_watermark(np.full((1, 4, 4), 3)), "watermark pattern must be a non-empty 2-D integer array"),
+        (lambda: write_pgm([[[0.5]]]), "image must be a non-empty 2-D array, got shape (1, 1, 1)"),
+        (lambda: engine.process_blocks([[0.5] * 4] * 4, watermark.checkerboard_cell()),
+         "expected a stack of 4x4 blocks, got shape (4, 4)"),
+        (lambda: watermark.embed_image(np.zeros((8, 8), np.uint8), [[True] * 8]),
+         "watermark pattern must be a 4x4 cell or 8x8 like the image, got shape (1, 8)"),
     ],
     ids=["1d-short", "1d-value-3", "1d-bools", "2d-floats", "2d-none", "2d-beyond-64-bits", "2d-bool-and-big-int",
          "decompose-beyond-64-bits", "direct-4x4x1",
          "decompose-float", "decompose-256", "decompose-4x3", "extract-str", "pixels-timedelta", "ternary-timedelta",
          "embed-block-bool-among-ints", "embed-image-bool-among-ints", "1d-numpy-bool-among-ints",
          "decompose-bool-among-ints", "engine-bool-among-ints", "2d-2**63-beside-0", "embed-image-2**63-beside-0",
-         "decompose-2**63-beside-0", "image-2**63-beside-0", "1d-2**63-beside-a-float"],
+         "decompose-2**63-beside-0", "image-2**63-beside-0", "1d-2**63-beside-a-float",
+         "write-watermark-float-3d", "save-watermark-float-3d", "save-watermark-bool-1d", "write-watermark-3-3d",
+         "write-pgm-float-3d", "engine-float-2d", "embed-image-bool-1x8"],
 )
 def test_reference_messages(call, message):
     with pytest.raises(ValueError) as info:
