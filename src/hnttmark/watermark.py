@@ -17,7 +17,7 @@ result with those identities:
 
 Embedding needs no transform of the image at all: T(w) is computed once
 per cell (band by band for a full grid), and each pixel is then plain
-uint8 arithmetic, d = 3*(x // 3), m = x - d + T(w), x' = min(d, 252) +
+uint8 arithmetic, q = min(x // 3, 84), d = 3q, m = x - d + T(w), x' = d +
 m - 3*(m // 3).  Extraction transforms one difference instead of two
 images: the digit r_s + 3 - r_o (1..5, equal to r_s - r_o mod 3), with
 each residue computed as x - 3*(x // 3).  Floor division of uint8 by a
@@ -67,8 +67,10 @@ has no such per-row constant, so its bands transform and compare.
 The divisible part is capped at 252 (pixels 253-255 share d = 252) so
 that x' = d + r' <= 254 always fits 8 bits; the cap costs at most 3 grey
 levels on pixels of value 255 and never disturbs x' mod 3 = r', which is
-all extraction reads.  Per-pixel changes that are 0 mod 3, such as a +3
-intensity shift, are invisible to the scheme; that blind spot is
+all extraction reads.  The image routes cap the quotient as q -= q == 85
+(uint8 np.minimum against a scalar is ~20x slower); r = 3 at x = 255 is
+folded by the mod-3 step.  Per-pixel changes that are 0 mod 3, such as a
++3 intensity shift, are invisible to the scheme; that blind spot is
 inherent, not a bug.
 
 Extraction is non-blind: it needs the original image, pixel-aligned with
@@ -312,18 +314,18 @@ def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> 
 
 
 def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
-    """out = min(d, 252) + (r + t) mod 3 with d = 3*(x // 3) and r = x - d,
-    for pixels x and transformed cells t of x's shape; out must not
-    overlap x.  All in uint8, and built up in out: numpy vectorizes floor
-    division by a scalar, and not %."""
+    """out = d + (r + t) mod 3 with d = 3*min(x // 3, 84) and r = x - d
+    (r = 3 at x = 255, which the mod folds), for pixels x and transformed
+    cells t of x's shape; out must not overlap x.  All in uint8, and built
+    up in out: numpy vectorizes floor division by a scalar, and not %."""
     d = x // 3
+    d -= d == 85  # not np.minimum: against a scalar it is ~20x slower
     d *= 3
     np.subtract(x, d, out=out)
     out += t
     q = out // 3
     q *= 3
     out -= q
-    np.minimum(d, 252, out=d)
     out += d
 
 

@@ -83,6 +83,30 @@ def test_image_embed_arithmetic_exhaustive():
     assert x.tolist() == [[v] * 3 for v in range(256)]  # the input is left alone
 
 
+def test_embed_routes_match_a_plain_restatement_at_full_band_size(monkeypatch):
+    # 2048x2048 at the default _BAND_PIXELS: 16 bands, a tiled cell, and a
+    # helper thread at workers=2.  Expected values are plain int32 numpy.
+    monkeypatch.setattr(watermark, "_cpus", lambda: 2)
+    rng = np.random.default_rng(22)
+    img = rng.integers(0, 256, (2048, 2048), dtype=np.uint8)
+    img[0, :256] = np.arange(256)
+    img[1, :] = np.arange(253, 256).repeat(683)[:2048]
+    grid = rng.integers(0, 3, (2048, 2048), dtype=np.uint8)
+    cell = checkerboard_cell()
+    h4 = np.array([[1, 1, 1, 1], [1, 1, 2, 2], [1, 2, 1, 2], [1, 2, 2, 1]], dtype=np.int32)
+
+    def as_blocks(a):
+        return a.reshape(512, 4, 512, 4).swapaxes(1, 2).reshape(-1, 4, 4)
+
+    blocks, cells = as_blocks(img), as_blocks(grid)
+    x = blocks.astype(np.int32)
+    for pattern, w in ((cell, cell), (grid, cells)):
+        want = (np.minimum(x - x % 3, 252) + (x % 3 + h4 @ w.astype(np.int32) @ h4 % 3) % 3).astype(np.uint8)
+        assert (as_blocks(embed_image(img, pattern)) == want).all()
+        for workers in (1, 2):
+            assert (process_blocks(blocks, w, workers) == want).all()
+
+
 def test_decompose_validation():
     with pytest.raises(ValueError):
         decompose([[0] * 4] * 3)
