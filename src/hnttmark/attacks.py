@@ -16,12 +16,15 @@ evaluated in IEEE-754 double precision.
 
 Every integer argument (step, delta, each rect value, seed, and
 flip_mask's height and width) passes imageio's integer rule, so a float
-or a bool is refused, not truncated.
+or a bool is refused, not truncated.  The flip probability is a real
+number in [0, 1], a Python or numpy one, not a bool.
 
 Real JPEG/JPEG2000 codecs are out of scope; the quantize attack stands
 in for compression-style small pixel perturbations, and externally
 degraded images can always be fed through the verify pipeline instead.
 """
+
+import numbers
 
 import numpy as np
 
@@ -56,7 +59,7 @@ def _splitmix64_block(seed: int, count: int) -> np.ndarray:
 def flip_mask(height: int, width: int, probability: float, seed: int) -> np.ndarray:
     """Boolean mask of the pixels lsb_flip will touch for these arguments."""
     height, width, seed = _integer(height, "height", 0), _integer(width, "width", 0), _integer(seed, "seed")
-    if not 0.0 <= probability <= 1.0:
+    if isinstance(probability, bool) or not isinstance(probability, numbers.Real) or not 0.0 <= probability <= 1.0:
         raise ValueError("probability must be in [0, 1], got %r" % (probability,))
     if probability == 0.0:
         return np.zeros((height, width), dtype=bool)

@@ -28,12 +28,13 @@ that block's extracted cell.
 
 Every image route runs through one driver, _run_bands, and so does
 engine.process_blocks, which is _embed on the (4n, 4) view of its block
-stack.  The driver cuts the work into contiguous bands of whole block
-rows, about _BAND_PIXELS pixels each so that a band's temporaries stay in
-cache, and runs them on min(threads or cpus, cpus, bands) threads, where
-cpus is the number of CPUs this process may use (_cpus); only the engine
-passes threads.  The calling thread works its share of the bands and
-helper threads the rest (see _run_bands).
+stack.  The driver cuts the pixel rows into contiguous bands of whole
+block rows, about _BAND_PIXELS pixels each so that a band's temporaries
+stay in cache, hands each route its band as a slice of pixel rows, and
+runs them on min(threads or cpus, cpus, bands) threads, where cpus is
+the number of CPUs this process may use (_cpus); only the engine passes
+threads.  The calling thread works its share of the bands and helper
+threads the rest (see _run_bands).
 numpy releases the interpreter lock in the gathers and the arithmetic, so
 bands overlap.  verify counts each band's distances straight into the
 grid and never builds the extracted image.
@@ -251,9 +252,10 @@ def _cell_distances(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _DIST[_ADD, c0] + _DIST[_SUB, c1], _DIST[_ADD, c2] + _DIST[_SUB, c3]
 
 
-def _band_rows(row_pixels: int) -> int:
-    """Rows per band of _run_bands, for rows of row_pixels pixels."""
-    return max(1, _BAND_PIXELS // row_pixels)
+def _band_rows(w: int) -> int:
+    """Pixel rows per band of _run_bands for an image w pixels wide: whole
+    block rows, about _BAND_PIXELS pixels, at least one block row."""
+    return 4 * max(1, _BAND_PIXELS // (4 * w))
 
 
 def _cpus() -> int:
@@ -275,9 +277,10 @@ if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> None:
-    """Call work(lo, hi) over [0, rows) in contiguous bands of
-    _band_rows(row_pixels) whole rows.
+def _run_bands(work, h: int, w: int, threads: int | None = None) -> None:
+    """Call work(rows) once per band of an (h, w) image, h a multiple of
+    4: rows is a slice of the pixel rows [0, h), _band_rows(w) long (the
+    last may be shorter), so every band is whole block rows.
 
     The bands run on size = min(threads or cpus, cpus, bands) threads,
     where cpus = _cpus() counts the CPUs this process may use: the calling
@@ -293,14 +296,14 @@ def _run_bands(work, rows: int, row_pixels: int, threads: int | None = None) -> 
     done; an exception raised in a band propagates unchanged, the
     caller's own first, then the first helper's.
     """
-    step = _band_rows(row_pixels)
-    bands = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    step = _band_rows(w)
+    bands = [slice(lo, min(lo + step, h)) for lo in range(0, h, step)]
     cpus = _cpus()
     size = max(1, min(threads or cpus, cpus, len(bands)))
 
     def share(k: int) -> None:
-        for lo, hi in bands[k::size]:
-            work(lo, hi)
+        for rows in bands[k::size]:
+            work(rows)
 
     helpers = []
     try:
@@ -338,13 +341,12 @@ def _embed(img: np.ndarray, cells: np.ndarray, threads: int | None = None) -> np
     out = np.empty((h, w), dtype=np.uint8)
     cell = cells.shape == (4, 4)
     if cell:
-        tile = np.tile(_transform(cells), (min(_band_rows(4 * w), h // 4), w // 4))
+        tile = np.tile(_transform(cells), (min(_band_rows(w), h) // 4, w // 4))
 
-    def band(lo: int, hi: int) -> None:
-        rows = slice(4 * lo, 4 * hi)
-        _embed_into(out[rows], img[rows], tile[: 4 * (hi - lo)] if cell else _transform(cells[rows]))
+    def band(rows: slice) -> None:
+        _embed_into(out[rows], img[rows], tile[: rows.stop - rows.start] if cell else _transform(cells[rows]))
 
-    _run_bands(band, h // 4, 4 * w, threads)
+    _run_bands(band, h, w, threads)
     return out
 
 
@@ -392,11 +394,10 @@ def extract_image(original, suspect) -> np.ndarray:
     h, w = orig.shape
     out = np.empty((h, w), dtype=np.uint8)
 
-    def band(lo: int, hi: int) -> None:
-        rows = slice(4 * lo, 4 * hi)
+    def band(rows: slice) -> None:
         out[rows] = _transform(_difference_digits(orig[rows], susp[rows]))
 
-    _run_bands(band, h // 4, 4 * w)
+    _run_bands(band, h, w)
     return out
 
 
@@ -556,21 +557,19 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     if cells.shape == (4, 4):
         dist02, dist13 = _cell_distances(cells)
 
-        def band(lo: int, hi: int) -> None:
-            rows = slice(4 * lo, 4 * hi)
+        def band(rows: slice) -> None:
             pair02, pair13 = _column_pairs(_difference_digits(orig[rows], susp[rows]))
-            np.add(dist02.take(pair02), dist13.take(pair13), out=distances[lo:hi])
+            np.add(dist02.take(pair02), dist13.take(pair13), out=distances[rows.start // 4 : rows.stop // 4])
 
     else:
 
-        def band(lo: int, hi: int) -> None:
-            rows = slice(4 * lo, 4 * hi)
+        def band(rows: slice) -> None:
             # Count in uint8 (at most 16 per block): add the 4 rows of each
             # block, then its 4 columns.  Far cheaper than a strided int64 sum.
             extracted = _transform(_difference_digits(orig[rows], susp[rows]))
             diff = (extracted.reshape(-1, 4, w) != cells[rows].reshape(-1, 4, w)).view(np.uint8)
             cols = (diff[:, 0] + diff[:, 1] + diff[:, 2] + diff[:, 3]).reshape(-1, w // 4, 4)
-            np.add(cols[..., 0] + cols[..., 1], cols[..., 2] + cols[..., 3], out=distances[lo:hi])
+            np.add(cols[..., 0] + cols[..., 1], cols[..., 2] + cols[..., 3], out=distances[rows.start // 4 : rows.stop // 4])
 
-    _run_bands(band, h // 4, 4 * w)
+    _run_bands(band, h, w)
     return TamperReport(threshold=threshold, distances=distances)

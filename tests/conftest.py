@@ -1,4 +1,5 @@
 import threading
+import warnings
 from concurrent.futures import Future
 
 import pytest
@@ -13,13 +14,26 @@ settings.register_profile("deterministic", deadline=None, derandomize=True)
 settings.load_profile("deterministic")
 
 
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport():
+    """Let a failing property test be reported under -W error.  On a failure
+    hypothesis's own report hook imports hypothesis.extra._patching; where
+    libcst is installed, that import warns that mypy_extensions.TypedDict is
+    deprecated, and -W error would raise the warning inside the hook and end
+    the run.  That one warning is ignored while reports are made; every
+    other warning keeps its filter."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+        yield
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replace the banded driver's helper pool with one that runs each task
     as it is submitted, so no thread starts, and record every _run_bands
     call as (threads, bands): the threads it used, the caller plus one per
-    helper task, and the (lo, hi) bands it ran, sorted.  Returns the list
-    of calls."""
+    helper task, and the pixel-row bands it ran as (start, stop), sorted.
+    Returns the list of calls."""
     calls, helpers = [], []
 
     class InlinePool:
@@ -38,9 +52,9 @@ def inline_pool(monkeypatch):
         helpers.clear()
         ran = []
 
-        def band(lo, hi):
-            ran.append((lo, hi))
-            work(lo, hi)
+        def band(rows):
+            ran.append((rows.start, rows.stop))
+            work(rows)
 
         run_bands(band, *args)
         calls.append((1 + len(helpers), sorted(ran)))

@@ -83,6 +83,16 @@ def test_lsb_flip_probability_validation():
         lsb_flip(_image(), 1.5, 0)
     with pytest.raises(ValueError):
         lsb_flip(_image(), -0.1, 0)
+    # a bool is not a probability, and neither is a value that is not a
+    # real number: each gets the range message, not a comparison TypeError
+    for bad in (True, False, np.True_, None, "0.5", 0.5j):
+        with pytest.raises(ValueError, match="^%s$" % re.escape("probability must be in [0, 1], got %r" % (bad,))):
+            flip_mask(2, 2, bad, 0)
+        with pytest.raises(ValueError, match=re.escape("probability must be in [0, 1], got %r" % (bad,))):
+            lsb_flip(_image(), bad, 0)
+    # numpy floats stay accepted
+    assert np.array_equal(lsb_flip(_image(), np.float32(0.5), 3), lsb_flip(_image(), 0.5, 3))
+    assert np.array_equal(flip_mask(2, 2, np.float64(1.0), 0), np.ones((2, 2), dtype=bool))
 
 
 # --------------------------------------------------------------- quantize

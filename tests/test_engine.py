@@ -63,13 +63,14 @@ def test_worker_count_never_changes_output():
 
 def test_thread_pool_is_capped_at_cpu_count(monkeypatch, inline_pool):
     # the stack runs as the (4n, 4) image: bands of _BAND_PIXELS // 16
-    # blocks on min(workers, cpus, bands) threads, one thread inline
+    # blocks (4 pixel rows each) on min(workers, cpus, bands) threads,
+    # one thread inline
     calls = inline_pool
     blocks = _blocks(1000, seed=12)
     cells = _cells(1000, seed=13)
     baseline = process_blocks(blocks, cells, workers=1)
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 16 * 150)
-    view_bands = [(lo, min(lo + 150, 1000)) for lo in range(0, 1000, 150)]
+    view_bands = [(4 * lo, 4 * min(lo + 150, 1000)) for lo in range(0, 1000, 150)]
     for cpus, workers, threads in ((3, 50, 3), (3, 2, 2), (16, 50, 7), (8, 1, 1), (1, 8, 1)):
         monkeypatch.setattr(watermark, "_cpus", lambda: cpus)
         calls.clear()
@@ -85,7 +86,7 @@ def test_a_stack_of_one_band_starts_no_pool(monkeypatch, inline_pool):
     blocks = _blocks(1000, seed=14)
     cell = checkerboard_cell()
     out = process_blocks(blocks, cell, workers=2)
-    assert calls == [(1, [(0, 1000)])]
+    assert calls == [(1, [(0, 4000)])]
     assert np.array_equal(out, watermark.embed_image(blocks.reshape(-1, 4), cell).reshape(-1, 4, 4))
 
 
@@ -134,7 +135,7 @@ def test_process_blocks_validation():
 def test_engine_integer_arguments_fail_alike_on_any_host(monkeypatch, inline_pool, cpus, call, message):
     # three bands of the (4n, 4) view, so a float cap would reach range()
     # on 4 CPUs and be cut to 2 on 2 CPUs if it were not checked first
-    stack = np.zeros((3 * watermark._band_rows(16), 4, 4), dtype=np.uint8)
+    stack = np.zeros((3 * watermark._band_rows(4) // 4, 4, 4), dtype=np.uint8)
     monkeypatch.setattr(watermark, "_cpus", lambda: cpus)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         call(stack)

@@ -134,7 +134,7 @@ def test_banded_routes_match_the_block_oracles(monkeypatch, inline_pool, cpus, c
     extracted = extract_image(img, suspect)
     report = verify(img, suspect, pattern)
     block_rows = img.shape[0] // 4  # one band or one CPU runs inline, on one thread
-    assert calls == [(min(cpus, block_rows), [(i, i + 1) for i in range(block_rows)])] * 3
+    assert calls == [(min(cpus, block_rows), [(4 * i, 4 * i + 4) for i in range(block_rows)])] * 3
     stack, cells = [], []
     for (y, x), block in _tiles(img):
         cell = pattern if pattern.shape == (4, 4) else pattern[y : y + 4, x : x + 4]

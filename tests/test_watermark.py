@@ -84,8 +84,9 @@ def test_image_embed_arithmetic_exhaustive():
 
 
 def test_embed_routes_match_a_plain_restatement_at_full_band_size(monkeypatch):
-    # 2048x2048 at the default _BAND_PIXELS: 16 bands, a tiled cell, and a
-    # helper thread at workers=2.  Expected values are plain int32 numpy.
+    # 2048x2048 at the default _BAND_PIXELS: 16 bands of 128 pixel rows, a
+    # tiled cell, and a helper thread.  Expected values are plain int32
+    # numpy: T(b) = H4 @ b @ H4 % 3, extraction T(r_s - r_o).
     monkeypatch.setattr(watermark, "_cpus", lambda: 2)
     rng = np.random.default_rng(22)
     img = rng.integers(0, 256, (2048, 2048), dtype=np.uint8)
@@ -100,11 +101,24 @@ def test_embed_routes_match_a_plain_restatement_at_full_band_size(monkeypatch):
 
     blocks, cells = as_blocks(img), as_blocks(grid)
     x = blocks.astype(np.int32)
+    r = x % 3
+    d = np.minimum(x - r, 252)
+    # a few pixels, some on either side of a band edge, damage the mark
+    ys = np.concatenate([[0, 127, 128, 1023, 1024, 2047], rng.integers(0, 2048, 30)])
+    xs = np.concatenate([[0, 5, 5, 2047, 1, 2047], rng.integers(0, 2048, 30)])
     for pattern, w in ((cell, cell), (grid, cells)):
-        want = (np.minimum(x - x % 3, 252) + (x % 3 + h4 @ w.astype(np.int32) @ h4 % 3) % 3).astype(np.uint8)
-        assert (as_blocks(embed_image(img, pattern)) == want).all()
+        want = (d + (r + h4 @ w.astype(np.int32) @ h4 % 3) % 3).astype(np.uint8)
+        marked = embed_image(img, pattern)
+        assert (as_blocks(marked) == want).all()
         for workers in (1, 2):
             assert (process_blocks(blocks, w, workers) == want).all()
+        assert (as_blocks(extract_image(img, marked)) == w).all()
+        suspect = marked.copy()
+        suspect[ys, xs] ^= 1
+        extracted = h4 @ ((as_blocks(suspect) % 3 - r) % 3) @ h4 % 3
+        distances = (extracted != w).sum((1, 2)).reshape(512, 512)
+        assert np.count_nonzero(distances) == len(set(zip(ys // 4, xs // 4)))
+        assert np.array_equal(verify(img, suspect, pattern).distances, distances)
 
 
 def test_decompose_validation():
@@ -459,27 +473,29 @@ def test_a_forked_child_builds_its_own_pool(monkeypatch):
 
 
 def test_a_band_error_propagates_once_every_band_is_done(monkeypatch):
-    # two one-row bands on two threads: the caller runs band 0, a helper band 1
+    # two one-block-row bands on two threads: the caller runs the band at
+    # pixel row 0, a helper the band at pixel row 4
     monkeypatch.setattr(watermark, "_cpus", lambda: 2)
-    errors = {0: ValueError("caller's band"), 1: MemoryError("helper's band")}
-    for failing, want in (({0}, errors[0]), ({1}, errors[1]), ({0, 1}, errors[0])):
+    errors = {0: ValueError("caller's band"), 4: MemoryError("helper's band")}
+    for failing, want in (({0}, errors[0]), ({4}, errors[4]), ({0, 4}, errors[0])):
         finished = []
 
-        def work(lo, hi):
-            if lo in failing:
-                raise errors[lo]
+        def work(rows):
+            if rows.start in failing:
+                raise errors[rows.start]
             time.sleep(0.2)  # a slow sibling
-            finished.append(lo)
+            finished.append(rows.start)
 
         with pytest.raises(type(want)) as info:
-            watermark._run_bands(work, 2, watermark._BAND_PIXELS)
+            watermark._run_bands(work, 8, watermark._BAND_PIXELS // 4)
         assert info.value is want
-        assert finished == sorted({0, 1} - failing)
+        assert finished == sorted({0, 4} - failing)
 
 
 def test_a_helper_that_cannot_start_fails_the_call_after_the_started_ones(monkeypatch):
-    # three one-row bands on three threads: helper 1 starts, helper 2's
-    # submit raises, and the call raises only once helper 1's band is done
+    # three one-block-row bands on three threads: helper 1 starts, helper
+    # 2's submit raises, and the call raises only once helper 1's band (at
+    # pixel row 4) is done
     monkeypatch.setattr(watermark, "_cpus", lambda: 3)
     error = RuntimeError("can't start new thread")
     pool = ThreadPoolExecutor(1)
@@ -497,18 +513,18 @@ def test_a_helper_that_cannot_start_fails_the_call_after_the_started_ones(monkey
     monkeypatch.setattr(watermark, "_pool", helpers)
     finished = []
 
-    def work(lo, hi):
+    def work(rows):
         time.sleep(0.2)
-        finished.append(lo)
+        finished.append(rows.start)
 
     try:
         with pytest.raises(RuntimeError) as info:
-            watermark._run_bands(work, 3, watermark._BAND_PIXELS)
+            watermark._run_bands(work, 12, watermark._BAND_PIXELS // 4)
         finished_at_raise = list(finished)
     finally:
         pool.shutdown()
     assert info.value is error
-    assert finished_at_raise == [1]
+    assert finished_at_raise == [4]
 
 
 def _race(target, threads: int) -> None:
