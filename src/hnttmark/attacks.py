@@ -28,7 +28,7 @@ import numbers
 
 import numpy as np
 
-from .imageio import _integer, as_gray
+from .imageio import _integer, as_gray, as_pixels
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -100,10 +100,8 @@ def region_replace(image, rect, source) -> np.ndarray:
     out = img.copy()
     if w == 0 or h == 0:
         return out
-    src = as_gray(source)
-    if src.shape != (h, w):
-        raise ValueError("source shape %s does not match rect %dx%d" % (src.shape, w, h))
-    out[y : y + h, x : x + w] = src
+    rule = lambda got: None if got == (h, w) else "source shape %s does not match rect %dx%d" % (got, w, h)
+    out[y : y + h, x : x + w] = as_pixels(source, "source", rule)
     return out
 
 

@@ -110,6 +110,7 @@ def benchmark(
     """Embed synthetic frames repeatedly and report measured throughput."""
     iterations = _integer(iterations, "iterations", 1)
     frame_width, frame_height, frame_blocks = _frame(frame_width, frame_height)
+    workers = _integer(workers, "workers", 1)
     frame = _synthetic_frame(frame_width, frame_height)
     stack = frame.reshape(frame_height // 4, 4, frame_width // 4, 4).swapaxes(1, 2).reshape(-1, 4, 4)
     cell = checkerboard_cell()
@@ -127,7 +128,7 @@ def benchmark(
         elapsed_seconds=elapsed,
         blocks_per_second=blocks_per_second,
         equivalent_frame_rate=blocks_per_second / frame_blocks,
-        worker_count=int(workers),
+        worker_count=workers,
         frame_width=frame_width,
         frame_height=frame_height,
     )

@@ -10,10 +10,14 @@ CLI reads its integer flags, `--rect` values and `transform` tokens by
 the same rule after an optional '-'.  An array argument passes one
 gate, `_integers`, which converts it once and judges it in a fixed
 order: first its shape, by the rule its caller gives (the non-empty 2-D
-shape of an image in `as_gray`, a 4x4 block in the reference route, and
-so on); then its dtype, an integer one (not bool, not timedelta) or a
-list of Python ints; then, in `as_pixels` or `as_ternary`, its range,
-[0, 255] or {0, 1, 2}.  So a wrong shape is reported before a wrong value.
+shape of an image in `as_gray`; whole 4x4 blocks, `_blocks`, for an
+image that is embedded, the original and suspect, whose sizes must be
+equal, and a watermark file; the rect's size for `region_replace`'s
+source; a 4x4 block in the reference route, and so on); then its dtype,
+an integer one (not bool, not timedelta) or a list of Python ints; then,
+in `as_pixels` or `as_ternary`, its range, [0, 255] or {0, 1, 2}.  So a
+wrong shape is reported before a wrong value, and each message names
+its argument ("suspect pixels must be integers, ...").
 
 The only native image format is PGM, chosen because round trips are
 trivially bit-exact.  Both binary (P5) and plain (P2) files are read;
@@ -98,15 +102,27 @@ def as_pixels(pixels, name: str = "image", shape=None) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _plane(message: str):
-    """The shape rule of a non-empty 2-D array: any other shape is refused
-    with `message`, which may name it as %(shape)s."""
-    return lambda shape: None if len(shape) == 2 and 0 not in shape else message % {"shape": shape}
+def _blocks(name: str, like: tuple | None = None, side: int = 4):
+    """The shape rule of a 2-D array of whole side x side blocks named
+    `name`: non-empty, both dimensions multiples of `side`, and equal to
+    `like` (the original's shape, for a suspect) if given."""
+
+    def rule(shape: tuple) -> str | None:
+        if len(shape) != 2 or 0 in shape:
+            return "%s must be a non-empty 2-D array, got shape %s" % (name, shape)
+        if shape[0] % side or shape[1] % side:
+            return "%s dimensions %dx%d are not multiples of %d" % (name, shape[1], shape[0], side)
+        if like is not None and shape != like:
+            return "dimension mismatch: original is %dx%d, %s is %dx%d" % (like[1], like[0], name, shape[1], shape[0])
+        return None
+
+    return rule
 
 
 def as_gray(image) -> np.ndarray:
-    """Validate an array-like as a grayscale image and return it as uint8."""
-    return as_pixels(image, shape=_plane("image must be a non-empty 2-D array, got shape %(shape)s"))
+    """Validate an array-like as a grayscale image, any non-empty 2-D
+    shape, and return it as uint8."""
+    return as_pixels(image, shape=_blocks("image", side=1))
 
 
 def as_ternary(pattern, name: str = "watermark", shape=None) -> np.ndarray:
@@ -123,14 +139,6 @@ def as_ternary(pattern, name: str = "watermark", shape=None) -> np.ndarray:
         if low < 0 or high > 2:
             raise ValueError("%s values must be in {0, 1, 2}, found %d" % (name, low if low < 0 else high))
     return arr.astype(np.uint8, copy=False)
-
-
-def check_multiple_of_4(arr: np.ndarray, name: str) -> np.ndarray:
-    """Return a 2-D array as is if both its dimensions are multiples of 4."""
-    h, w = arr.shape
-    if h % 4 or w % 4:
-        raise ValueError("%s dimensions %dx%d are not multiples of 4" % (name, w, h))
-    return arr
 
 
 def _decimal(token: str | bytes, message: str) -> int:
@@ -221,17 +229,15 @@ def read_watermark(data: bytes) -> np.ndarray:
     time) or a full per-block grid; both mean dimensions must be
     multiples of 4, and every value must be in {0, 1, 2}.
     """
-    pattern = read_pgm(data)
-    maxval = _header(data)[3]
-    if maxval > 2:  # values up to 2 are already held by read_pgm's range check
-        as_ternary(pattern)
-    return check_multiple_of_4(pattern, "watermark")
+    pattern, rule = read_pgm(data), _blocks("watermark")
+    if _header(data)[3] > 2:
+        return as_ternary(pattern, shape=rule)
+    return _integers(pattern, "watermark values", rule)  # read_pgm's range check held values up to 2
 
 
 def _watermark_parts(pattern) -> tuple[bytes, np.ndarray]:
     """_pgm_parts of a validated ternary pattern, with maxval 2."""
-    arr = as_ternary(pattern, shape=_plane("watermark pattern must be a non-empty 2-D integer array"))
-    return _pgm_parts(check_multiple_of_4(arr, "watermark"), 2)
+    return _pgm_parts(as_ternary(pattern, shape=_blocks("watermark")), 2)
 
 
 def write_watermark(pattern) -> bytes:

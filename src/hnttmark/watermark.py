@@ -82,9 +82,11 @@ the block route bit for bit (the test suite holds them to that).
 Both routes take their input by one rule: pixels pass imageio.as_pixels
 and GF(3) values imageio.as_ternary, that is an integer dtype, not bool,
 in range; input that is not an array, a nested list say, is judged by
-its values, so a bool among ints is rejected.  A block function also
-requires shape (4, 4), checks each argument once and computes on the
-checked values as Python ints.  Any other input raises ValueError.
+its values, so a bool among ints is rejected.  An image route also
+requires whole 4x4 blocks, and a suspect the original's size, judged
+before any value.  A block function requires shape (4, 4), checks each
+argument once and computes on the checked values as Python ints.  Any
+other input raises ValueError.
 """
 
 import os
@@ -96,7 +98,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hntt
-from .imageio import _integer, as_gray, as_pixels, as_ternary, check_multiple_of_4
+from .imageio import _blocks, _integer, as_pixels, as_ternary
 
 # Pixel decomposition tables, indexed by pixel value: the block route's
 # reference, which the image routes compute in uint8 arithmetic instead.
@@ -356,19 +358,15 @@ def embed_image(image, pattern) -> np.ndarray:
     Blocks are independent; the result equals running embed_block over
     every 4x4 tile in any order.
     """
-    img = check_multiple_of_4(as_gray(image), "image")
+    img = as_pixels(image, shape=_blocks("image"))
     return _embed(img, _pattern_cells(pattern, img.shape, "%dx%d like the image" % img.shape[::-1]))
 
 
 def _image_pair(original, suspect) -> tuple[np.ndarray, np.ndarray]:
-    orig = check_multiple_of_4(as_gray(original), "original")
-    susp = check_multiple_of_4(as_gray(suspect), "suspect")
-    if orig.shape != susp.shape:
-        raise ValueError(
-            "dimension mismatch: original is %dx%d, suspect is %dx%d"
-            % (orig.shape[1], orig.shape[0], susp.shape[1], susp.shape[0])
-        )
-    return orig, susp
+    """The original and the suspect as uint8, each judged whole, shape
+    first: the suspect's shape must equal the original's."""
+    orig = as_pixels(original, "original", _blocks("original"))
+    return orig, as_pixels(suspect, "suspect", _blocks("suspect", orig.shape))
 
 
 def _residue(x: np.ndarray) -> np.ndarray:
@@ -545,12 +543,13 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     distance[b] is the Hamming distance (0..16) between block b's
     extracted cell and the reference cell; the block is flagged when the
     distance exceeds the threshold.  The default threshold 0 flags any
-    damage at all, which is the point of a fragile watermark.  The report
-    checks the threshold when it is built: one that is negative or not an
-    integer raises ValueError after the images and the reference are checked.
+    damage at all, which is the point of a fragile watermark.  A threshold
+    that is negative or not an integer raises ValueError after the images
+    and the reference are checked and before any distance is computed.
     """
     orig, susp = _image_pair(original, suspect)
     cells = _pattern_cells(reference, orig.shape, "%dx%d like the image" % orig.shape[::-1])
+    threshold = _integer(threshold, "threshold", 0)
     h, w = orig.shape
     distances = np.empty((h // 4, w // 4), dtype=np.uint8)
 

@@ -187,6 +187,22 @@ def test_synthetic_frame_keeps_its_bytes_without_full_size_temporaries():
     assert peak < 2 * 1024 * 1024
 
 
+@pytest.mark.parametrize("workers, message", [(0, "workers must be >= 1, got 0"),
+                                              (2.0, "workers must be an integer, got 2.0")])
+def test_benchmark_judges_workers_before_building_its_frame(monkeypatch, workers, message):
+    def no_frame(*args):
+        raise AssertionError("the frame was built")
+
+    monkeypatch.setattr(engine, "_synthetic_frame", no_frame)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        benchmark(8192, 8192, 1, workers=workers)
+    # iterations, then the frame, then workers
+    with pytest.raises(ValueError, match="^iterations must be >= 1, got 0$"):
+        benchmark(10, 8, 0, workers=workers)
+    with pytest.raises(ValueError, match="^frame dimensions must be positive multiples of 4, got 10x8$"):
+        benchmark(10, 8, 1, workers=workers)
+
+
 def test_benchmark_validation():
     with pytest.raises(ValueError):
         benchmark(frame_width=10, frame_height=8, iterations=1)

@@ -13,10 +13,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hnttmark import engine, hntt, watermark
+from hnttmark import attacks, engine, hntt, watermark
 from hnttmark.cli import EXIT_OK, EXIT_TAMPERED, main
 from hnttmark.imageio import (
-    as_pixels, as_ternary, load_pgm, load_watermark, save_pgm, save_watermark, write_pgm, write_watermark,
+    as_pixels, as_ternary, load_pgm, load_watermark, read_watermark, save_pgm, save_watermark, write_pgm,
+    write_watermark,
 )
 
 # Scalars that are not GF(3) values or pixels, or not of an integer dtype.
@@ -194,15 +195,37 @@ def test_reference_functions_raise_only_value_errors_and_return_ints(block, row)
          "image pixels must be in [0, 255]"),
         (lambda: hntt.hntt_1d([2**63, 0.0, 0, 0]), "vector values must be integers, got dtype float64"),
         # every array entry point judges shape before dtype and range
-        (lambda: write_watermark([[[0.5]]]), "watermark pattern must be a non-empty 2-D integer array"),
-        (lambda: save_watermark(os.devnull, [[[0.5]]]), "watermark pattern must be a non-empty 2-D integer array"),
-        (lambda: save_watermark(os.devnull, [True, False]), "watermark pattern must be a non-empty 2-D integer array"),
-        (lambda: write_watermark(np.full((1, 4, 4), 3)), "watermark pattern must be a non-empty 2-D integer array"),
+        (lambda: write_watermark([[[0.5]]]), "watermark must be a non-empty 2-D array, got shape (1, 1, 1)"),
+        (lambda: save_watermark(os.devnull, [[[0.5]]]), "watermark must be a non-empty 2-D array, got shape (1, 1, 1)"),
+        (lambda: save_watermark(os.devnull, [True, False]), "watermark must be a non-empty 2-D array, got shape (2,)"),
+        (lambda: write_watermark(np.full((1, 4, 4), 3)), "watermark must be a non-empty 2-D array, got shape (1, 4, 4)"),
         (lambda: write_pgm([[[0.5]]]), "image must be a non-empty 2-D array, got shape (1, 1, 1)"),
         (lambda: engine.process_blocks([[0.5] * 4] * 4, watermark.checkerboard_cell()),
          "expected a stack of 4x4 blocks, got shape (4, 4)"),
         (lambda: watermark.embed_image(np.zeros((8, 8), np.uint8), [[True] * 8]),
          "watermark pattern must be a 4x4 cell or 8x8 like the image, got shape (1, 8)"),
+        # whole blocks, the pair's equal size and the source's size are shapes too
+        (lambda: watermark.embed_image(np.zeros((6, 6)), watermark.checkerboard_cell()),
+         "image dimensions 6x6 are not multiples of 4"),
+        (lambda: watermark.embed_image(np.full((6, 6), 300), watermark.checkerboard_cell()),
+         "image dimensions 6x6 are not multiples of 4"),
+        (lambda: watermark.extract_image(np.zeros((8, 8), np.uint8), np.zeros((4, 4))),
+         "dimension mismatch: original is 8x8, suspect is 4x4"),
+        (lambda: watermark.verify(np.zeros((8, 8), np.uint8), np.zeros((6, 6)), watermark.checkerboard_cell()),
+         "suspect dimensions 6x6 are not multiples of 4"),
+        (lambda: attacks.region_replace(np.zeros((8, 8), np.uint8), (0, 0, 2, 2), np.zeros((3, 3))),
+         "source shape (3, 3) does not match rect 2x2"),
+        (lambda: write_watermark(np.full((6, 6), 3)), "watermark dimensions 6x6 are not multiples of 4"),
+        (lambda: read_watermark(b"P5 6 6 255\n" + bytes([3] * 36)), "watermark dimensions 6x6 are not multiples of 4"),
+        # each message names its argument
+        (lambda: watermark.extract_image(np.zeros((8, 8)), np.zeros((8, 8), np.uint8)),
+         "original pixels must be integers, got dtype float64"),
+        (lambda: watermark.verify(np.zeros((8, 8), np.uint8), np.zeros((8, 8)), watermark.checkerboard_cell()),
+         "suspect pixels must be integers, got dtype float64"),
+        (lambda: watermark.verify(np.zeros((8, 8), np.uint8), np.zeros((8, 8, 1)), watermark.checkerboard_cell()),
+         "suspect must be a non-empty 2-D array, got shape (8, 8, 1)"),
+        (lambda: attacks.region_replace(np.zeros((8, 8), np.uint8), (0, 0, 2, 2), np.full((2, 2), 256)),
+         "source pixels must be in [0, 255]"),
     ],
     ids=["1d-short", "1d-value-3", "1d-bools", "2d-floats", "2d-none", "2d-beyond-64-bits", "2d-bool-and-big-int",
          "decompose-beyond-64-bits", "direct-4x4x1",
@@ -211,7 +234,10 @@ def test_reference_functions_raise_only_value_errors_and_return_ints(block, row)
          "decompose-bool-among-ints", "engine-bool-among-ints", "2d-2**63-beside-0", "embed-image-2**63-beside-0",
          "decompose-2**63-beside-0", "image-2**63-beside-0", "1d-2**63-beside-a-float",
          "write-watermark-float-3d", "save-watermark-float-3d", "save-watermark-bool-1d", "write-watermark-3-3d",
-         "write-pgm-float-3d", "engine-float-2d", "embed-image-bool-1x8"],
+         "write-pgm-float-3d", "engine-float-2d", "embed-image-bool-1x8",
+         "embed-image-float-6x6", "embed-image-300-6x6", "extract-float-4x4-suspect", "verify-float-6x6-suspect",
+         "region-replace-float-3x3-source", "write-watermark-3-6x6", "read-watermark-3-6x6",
+         "extract-float-original", "verify-float-suspect", "verify-3d-suspect", "region-replace-256-source"],
 )
 def test_reference_messages(call, message):
     with pytest.raises(ValueError) as info:

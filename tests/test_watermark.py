@@ -654,6 +654,24 @@ def test_verify_threshold_semantics():
         verify(img, img, checkerboard_cell(), threshold=-1)
 
 
+@pytest.mark.parametrize("threshold, message", [(-1, "threshold must be >= 0, got -1"),
+                                                (0.5, "threshold must be an integer, got 0.5")])
+def test_verify_judges_the_threshold_before_any_distance(monkeypatch, threshold, message):
+    def no_bands(*args, **kwargs):
+        raise AssertionError("the distance kernel ran")
+
+    img = np.zeros((8, 8), dtype=np.uint8)
+    monkeypatch.setattr(watermark, "_run_bands", no_bands)
+    for reference in (checkerboard_cell(), np.zeros((8, 8), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            verify(img, img, reference, threshold=threshold)
+    # the images and the reference are judged first
+    with pytest.raises(ValueError, match="^suspect dimensions 6x6 are not multiples of 4$"):
+        verify(img, np.zeros((6, 6), dtype=np.uint8), checkerboard_cell(), threshold=threshold)
+    with pytest.raises(ValueError, match="^watermark pattern must be a 4x4 cell or 8x8 like the image"):
+        verify(img, img, np.zeros((4, 8), dtype=np.uint8), threshold=threshold)
+
+
 def test_report_serialization():
     distances = np.array([[0, 3], [16, 0]])
     report = TamperReport(threshold=0, distances=distances)
