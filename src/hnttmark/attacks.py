@@ -19,6 +19,10 @@ flip_mask's height and width) passes imageio's integer rule, so a float
 or a bool is refused, not truncated.  The flip probability is a real
 number in [0, 1], a Python or numpy one, not a bool.
 
+quantize and intensity_shift are pointwise: each builds the 256-entry
+uint8 table of its map over the grey values, in Python ints, which cannot
+overflow, so no argument is capped, and gathers the image through it.
+
 Real JPEG/JPEG2000 codecs are out of scope; the quantize attack stands
 in for compression-style small pixel perturbations, and externally
 degraded images can always be fed through the verify pipeline instead.
@@ -76,14 +80,16 @@ def lsb_flip(image, probability: float, seed: int = 0) -> np.ndarray:
     return img ^ mask.astype(np.uint8)
 
 
+def _pixel_map(image, f) -> np.ndarray:
+    """f applied to every pixel of image, through the 256-entry uint8
+    table of f over 0..255, computed in Python ints."""
+    return np.array([f(v) for v in range(256)], np.uint8).take(as_gray(image))
+
+
 def quantize(image, step: int) -> np.ndarray:
     """Map each pixel to round(pixel / step) * step, half up, clamped to 255."""
-    # Every pixel already rounds to 0 from step 511 up; the cap keeps the
-    # int32 arithmetic below in range for any step.
-    step = min(_integer(step, "step", 1), 511)
-    img = as_gray(image).astype(np.int32)
-    q = (img * 2 + step) // (2 * step) * step
-    return np.clip(q, 0, 255).astype(np.uint8)
+    step = _integer(step, "step", 1)
+    return _pixel_map(image, lambda v: min((2 * v + step) // (2 * step) * step, 255))
 
 
 def region_replace(image, rect, source) -> np.ndarray:
@@ -107,8 +113,6 @@ def region_replace(image, rect, source) -> np.ndarray:
 
 def intensity_shift(image, delta: int) -> np.ndarray:
     """Add delta to every pixel, clamped to [0, 255]."""
-    # Beyond +-255 every pixel clamps the same way; capping keeps int32 in range.
-    delta = min(max(_integer(delta, "delta"), -255), 255)
-    img = as_gray(image).astype(np.int32)
-    return np.clip(img + delta, 0, 255).astype(np.uint8)
+    delta = _integer(delta, "delta")
+    return _pixel_map(image, lambda v: min(max(v + delta, 0), 255))
 

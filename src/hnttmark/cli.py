@@ -39,6 +39,14 @@ def integer(text: str | bytes, message: str = "not an integer") -> int:
     return -value if text.startswith(minus) else value
 
 
+def fraction(text: str) -> float:
+    """ASCII decimal digits with at most one '.' and at least one digit
+    ('0.5', '.5', '1', '1.'), by imageio._decimal with the '.' removed,
+    as a float; else ValueError, which argparse reports for the flag."""
+    imageio._decimal(text.replace(".", "", 1), "not a fraction")
+    return float(text)
+
+
 def _load_pattern(args) -> np.ndarray:
     if args.watermark:
         return imageio.load_watermark(args.watermark)
@@ -73,10 +81,9 @@ def _cmd_transform(args) -> int:
     if len(values) != 16:
         raise ValueError("expected 16 block values on stdin, got %d" % len(values))
     block = [values[i : i + 4] for i in range(0, 16, 4)]
+    # Both transforms are involutions, so --inverse changes nothing.
     if args.full:
         out = hntt.full_hntt_2d(block)
-    elif args.inverse:
-        out = hntt.inverse_special_hntt_2d(block)
     else:
         out = hntt.special_hntt_2d(block)
     for row in out:
@@ -184,7 +191,7 @@ def _attack_arguments(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--type", required=True, choices=list(attacks.ATTACK_KINDS))
-    p.add_argument("--prob", type=float, default=0.01, help="lsb_flip probability (default 0.01)")
+    p.add_argument("--prob", type=fraction, default=0.01, help="lsb_flip probability (default 0.01)")
     p.add_argument("--step", type=integer, default=2, help="quantize step (default 2)")
     p.add_argument("--delta", type=integer, default=1, help="intensity_shift amount (default 1)")
     p.add_argument("--rect", help="region_replace rectangle X,Y,W,H")

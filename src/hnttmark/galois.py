@@ -96,8 +96,7 @@ class GaussInt:
         nonzero elements because 3 % 4 == 3."""
         if self.is_zero():
             raise ZeroDivisionError("0 has no multiplicative inverse in GI(%d)" % P)
-        n_inv = gf_inv(self.norm())
-        return GaussInt(self.re * n_inv, -self.im * n_inv)
+        return self.conjugate() * GaussInt(gf_inv(self.norm()), 0)
 
     def __str__(self) -> str:
         if self.im == 0:

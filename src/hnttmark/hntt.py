@@ -49,10 +49,10 @@ H4 = tuple(tuple(row) for row in build_matrix())
 # Index reversal i -> (4 - i) mod 4 used by the full 2-D combination.
 _REV = (0, 3, 2, 1)
 
-# Direct 2-D kernel, flattened over (i, k): cas((u*i + v*k) mod 4).
-_CAS = tuple(cas_table())
+# Direct 2-D kernel, flattened over (i, k): cas((u*i + v*k) mod 4), read
+# from row 1 of H4, which is the cas table.
 _KERNEL = tuple(
-    tuple(tuple(_CAS[(u * i + v * k) % 4] for i in range(4) for k in range(4)) for v in range(4))
+    tuple(tuple(H4[1][(u * i + v * k) % 4] for i in range(4) for k in range(4)) for v in range(4))
     for u in range(4)
 )
 
@@ -100,24 +100,16 @@ def hntt_1d_fast(x) -> list[int]:
     return _butterfly(*_checked(x, (4,), "vector"))
 
 
-def inverse_hntt_1d(x) -> list[int]:
-    """Inverse transform; equals the forward one since N^-1 == 1 mod 3."""
-    return hntt_1d_fast(x)
-
-
 def special_hntt_2d(a) -> list[list[int]]:
     """Separable 2-D transform H * A * H: the fast 1-D butterflies down the
     columns of A, then along the rows of the intermediate."""
     return _separable(_checked(a, (4, 4), "block"))
 
 
-def inverse_special_hntt_2d(b) -> list[list[int]]:
-    """Inverse of the separable 2-D transform.
-
-    H4*H4 == I makes special_hntt_2d an involution, so this is the same
-    computation under its own name for pipeline clarity.
-    """
-    return special_hntt_2d(b)
+# H4*H4 == I and N^-1 == 1 mod 3, so each transform is its own inverse: the
+# inverses are the forward functions under the paper's names.
+inverse_hntt_1d = hntt_1d_fast
+inverse_special_hntt_2d = special_hntt_2d
 
 
 def full_hntt_2d(a) -> list[list[int]]:

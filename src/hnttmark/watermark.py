@@ -19,12 +19,13 @@ Embedding needs no transform of the image at all: T(w) is computed once
 per cell (band by band for a full grid), and each pixel is then plain
 uint8 arithmetic, q = min(x // 3, 84), d = 3q, m = x - d + T(w), x' = d +
 m - 3*(m // 3).  Extraction transforms one difference instead of two
-images: the digit r_s + 3 - r_o (1..5, equal to r_s - r_o mod 3), with
-each residue computed as x - 3*(x // 3).  Floor division of uint8 by a
-scalar is vectorized in numpy, and % is not, so no route needs a table
-indexed by pixel value.  Arithmetic is exact, hence embed-then-extract
-returns w exactly and any residue change anywhere in a block damages
-that block's extracted cell.
+images: the digit r_s + 3 - r_o (1..5, equal to r_s - r_o mod 3),
+computed without either residue as s - o + 3*(o//3 - s//3 + 1) in uint8,
+whose true value 1..5 no wrap mod 256 on the way can change.  Floor
+division of uint8 by a scalar is vectorized in numpy, and % is not, so
+no route needs a table indexed by pixel value.  Arithmetic is exact,
+hence embed-then-extract returns w exactly and any residue change
+anywhere in a block damages that block's extracted cell.
 
 Every image route runs through one driver, _run_bands, and so does
 engine.process_blocks, which is _embed on the (4n, 4) view of its block
@@ -369,20 +370,17 @@ def _image_pair(original, suspect) -> tuple[np.ndarray, np.ndarray]:
     return orig, as_pixels(suspect, "suspect", _blocks("suspect", orig.shape))
 
 
-def _residue(x: np.ndarray) -> np.ndarray:
-    """x mod 3 of uint8 pixels, as x - 3*(x // 3)."""
-    r = x // 3
-    r *= 3
-    np.subtract(x, r, out=r)
-    return r
-
-
 def _difference_digits(orig: np.ndarray, susp: np.ndarray) -> np.ndarray:
     """r_s + 3 - r_o per pixel: a digit 1..5 that is r_s - r_o mod 3, the
-    residue difference whose transform is the extracted pattern."""
-    digits = _residue(susp)
-    digits += 3
-    digits -= _residue(orig)
+    residue difference whose transform is the extracted pattern.  It is
+    s - o + 3*(o//3 - s//3 + 1) in uint8: the true value is 1..5, so
+    wrapping mod 256 in the steps between cannot change it."""
+    digits = orig // 3
+    digits -= susp // 3
+    digits += 1
+    digits *= 3
+    digits += susp
+    digits -= orig
     return digits
 
 

@@ -110,7 +110,7 @@ def test_quantize_identity_and_rounding():
 
 def test_quantize_against_float_rounding_oracle():
     values = np.arange(256, dtype=np.uint8).reshape(16, 16)
-    for step in (2, 3, 4, 5, 7, 16):
+    for step in (2, 3, 4, 5, 7, 16, 511, 512, 2**31, 2**63, 2**64 + 1, 10**30):
         got = quantize(values, step)
         import math
 
@@ -186,6 +186,11 @@ def test_intensity_shift_basic():
     assert np.array_equal(intensity_shift(img, 0), img)
     assert intensity_shift(np.array([[250]], dtype=np.uint8), 10)[0, 0] == 255
     assert intensity_shift(np.array([[5]], dtype=np.uint8), -10)[0, 0] == 0
+    # every grey value against a clamped sum, also where int32 would overflow
+    values = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    for delta in [*range(-300, 301), 2**63, -(2**63), 10**30, -(10**30)]:
+        expected = [min(max(v + delta, 0), 255) for v in range(256)]
+        assert intensity_shift(values, delta).ravel().tolist() == expected, delta
 
 
 def test_intensity_shift_plus_one_flags_everything():

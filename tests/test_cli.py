@@ -74,6 +74,17 @@ def test_transform_inverse(monkeypatch, capsys):
     assert main(["transform", "--inverse"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out == "1 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
+    # both transforms are involutions: --inverse prints what the forward one does
+    rng = np.random.RandomState(12)
+    for _ in range(5):
+        text = " ".join(map(str, rng.randint(0, 3, 16)))
+        for flags in ([], ["--full"]):
+            printed = []
+            for extra in ([], ["--inverse"]):
+                monkeypatch.setattr("sys.stdin", _stdin(text))
+                assert main(["transform", *flags, *extra]) == EXIT_OK
+                printed.append(capsys.readouterr())
+            assert printed[0] == printed[1] and printed[0].err == ""
 
 
 def test_transform_full(monkeypatch, capsys):
@@ -410,6 +421,24 @@ def test_integer_flags_refuse_other_text_with_one_line(capsys):
             for text in _NOT_INTEGERS:
                 assert main([command, *required, "%s=%s" % (flag, text)]) == EXIT_ERROR
                 assert capsys.readouterr() == ("", "error: argument %s: invalid integer value: %r\n" % (flag, text))
+
+
+def test_prob_takes_ascii_digits_with_at_most_one_point(tmp_path, capsys):
+    source = tmp_path / "in.pgm"
+    _make_image(source, seed=8, shape=(8, 8))
+    base = ["attack", "--input", str(source), "--output", str(tmp_path / "o.pgm"), "--type", "lsb_flip"]
+    for text, value in [("0.5", 0.5), (".5", 0.5), ("1", 1.0), ("1.", 1.0), ("0", 0.0), ("00.250", 0.25)]:
+        assert build_parser("attack").parse_args(base + ["--prob=" + text]).prob == value
+    assert main(base + ["--prob=1."]) == EXIT_OK
+    assert capsys.readouterr() == ("flipped 64 of 64 pixels\n", "")
+    refused = ["\u0660.\u0665", "0_0", " 0.5", "0.5 ", "+0.5", "-0.5", "1e-1", "1E0", "nan", "inf", "-inf",
+               ".", "", "0..5", "0.5.", "1,5", "0x1", "\u00b2"]
+    for text in refused:
+        assert main(base + ["--prob=" + text]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: argument --prob: invalid fraction value: %r\n" % text)
+    # in range is the library's rule, as before
+    assert main(base + ["--prob=1.5"]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: probability must be in [0, 1], got 1.5\n")
 
 
 def test_rect_values_refuse_other_text_with_one_line(tmp_path, capsys):

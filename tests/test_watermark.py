@@ -70,7 +70,7 @@ def test_image_residue_digits_exhaustive():
     assert digits.dtype == np.uint8 and digits.shape == (256, 256)
     assert digits.min() == 1 and digits.max() == 5
     r_o, r_s = (np.array(RESIDUE_TABLE)[a] for a in (orig, susp))
-    assert ((digits.astype(np.int64) - (r_s - r_o)) % 3 == 0).all()
+    assert np.array_equal(digits, r_s + 3 - r_o)
 
 
 def test_image_embed_arithmetic_exhaustive():
