@@ -14,11 +14,13 @@ butterflies (eight in total) and performs no multiplications; plain
 add/subtract-then-reduce benchmarked ahead of both 3x3 lookup tables and
 conditional subtraction in CPython, so the butterflies here use
 arithmetic.  That finding holds for this scalar route only.  The image
-routes run the same butterflies in numpy as lookups on packed rows,
-in watermark._transform, whose stages the watermark module docstring
-describes.  Of this module only the constant H4 reaches them, to build
-the kernel's row table.  The functions here are the reference those
-routes are tested against and stay out of production paths.
+routes run T in numpy in watermark._transform_sums: one lookup per
+packed block row for the row stage, and carry-free word adds for the
+column butterflies, whose sums each route reduces mod 3 its own way (the
+watermark module docstring describes the stages).  Of this module only
+the constant H4 reaches them, to build the kernel's row table.  The
+functions here are the reference those routes are tested against and
+stay out of production paths.
 
 Every public function here checks its argument once, by the rule the
 image routes apply (imageio.as_ternary): an array of the expected shape,

@@ -18,7 +18,8 @@ result with those identities:
 Embedding needs no transform of the image at all: T(w) is computed once
 per cell (band by band for a full grid), and each pixel is then plain
 uint8 arithmetic, q = min(x // 3, 84), d = 3q, m = x - d + T(w), x' = d +
-m - 3*(m // 3).  Extraction transforms one difference instead of two
+m - 3*(m // 3), where T(w) may be any value congruent to it mod 3 that
+keeps m within a byte.  Extraction transforms one difference instead of two
 images: the digit r_s + 3 - r_o (1..5, equal to r_s - r_o mod 3),
 computed without either residue as s - o + 3*(o//3 - s//3 + 1) in uint8,
 whose true value 1..5 no wrap mod 256 on the way can change.  Floor
@@ -40,31 +41,37 @@ numpy releases the interpreter lock in the gathers and the arithmetic, so
 bands overlap.  verify counts each band's distances straight into the
 grid and never builds the extracted image.
 
-Every image route runs T through one kernel, _transform, which performs
-the paper's butterflies as table lookups on packed rows.  It works on an
-(h, w) array in image layout, where a block row is 4 contiguous values,
-so the block rows of a band are its consecutive 4-byte words; an
-(n, 4, 4) block stack is the same thing as a (4n, 4) image.  A row of
-digits x0..x3 (each 0..7) is read as one little-endian uint32, x0 in the
-low byte, and two shift-or-mask steps pack it into the 12-bit code
-x0 + 8*x1 + 64*x2 + 512*x3 (_row_codes).  The 4096-entry _ROW, built
-from hntt.H4, maps a 12-bit row code to the base-3 code of H*row mod 3
-(digits a0..a3, a0 most significant, < 81).  The flat 81x81 _ADD and
-_SUB, indexed by 81*x + y, add and subtract two base-3 codes digitwise
-mod 3, which runs the column butterflies on whole rows.  _column_pairs
-stops one stage short, at the two pair codes 81*A0 + A2 and 81*A1 + A3
-of each block.  Rows 0..3 of T are then one lookup each, in _ADD_WORDS
-and _SUB_WORDS: entry p holds the four digits of _ADD[p] or _SUB[p] as
-one uint32, bytes in memory order, so the words written in image layout
-and viewed as bytes are the digits of T.  The bytes round-trip
-unchanged, so the result does not depend on byte order.  The column
-butterflies thus take 8 lookups per block, and the last 4 yield digits.
+Every image route runs T through one kernel, _transform_sums, which
+performs the paper's butterflies as one lookup per block row and then
+plain adds, with no multiplier.  It works on an (h, w) array in image
+layout, where a block row is 4 contiguous values, so the block rows of a
+band are its consecutive 4-byte words; an (n, 4, 4) block stack is the
+same thing as a (4n, 4) image.  A row of digits x0..x3 (each 0..7) is
+read as one little-endian uint32, x0 in the low byte, and two
+shift-or-mask steps pack it into the 12-bit code x0 + 8*x1 + 64*x2 +
+512*x3 (_row_codes).  The 4096-entry uint32 _ROW, built from hntt.H4,
+maps a row code to one word whose bytes, in memory order, are the digits
+of H*row mod 3, so the row stage is one lookup per block row.  The column
+stage adds those words: with p = r0 + r1 and q = r2 + r3 for the rows
+r0..r3 of a block, its rows of T are p + q, p + 2q, p + q + r1 + r3 and
+p + q + r1 + r2, each byte a sum of at most 6 digits of at most 2, so no
+byte carries into the next and every byte is 0..12 and congruent to T mod
+3.  The words are written in image layout, so their bytes are the
+pixels of T up to that last mod 3; bytes round-trip unchanged, so the
+result does not depend on byte order.  Each route folds the sums its own
+way.  Embedding needs none: x - d + sums is at most 15, and its mod-3
+step folds it.  Extraction takes s - 3*(s // 3).
 
-verify against a 4x4 cell stops at the pair codes: per call it builds
-two 6561-entry tables that hold, for every pair code, the Hamming
-distance of the two rows it yields to the cell's rows (_cell_distances),
-and a block's distance is one lookup from each.  A full-grid reference
-has no such per-row constant, so its bands transform and compare.
+verify runs one band for either reference, a 4x4 cell tiled once to one
+band like embedding's T(cell), or a full grid read band by band.  With v
+= sums + 3 - reference, 1..15 and 0 mod 3 exactly where the extracted
+digit matches, v*171 mod 256 is at most 85 exactly when 3 divides v: 171
+is the inverse of 3 mod 256, which maps the multiples of 3 in 0..255 onto
+0..85 (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
+2019).  The 16 mismatch flags of a block are the bytes of its four
+block-row words; three word adds sum them bytewise (at most 4 per byte),
+and multiplying by 0x01010101 gathers the four bytes into the top one,
+the block's distance.
 
 The divisible part is capped at 252 (pixels 253-255 share d = 252) so
 that x' = d + r' <= 254 always fits 8 bits; the cap costs at most 3 grey
@@ -110,24 +117,11 @@ DIVISIBLE_TABLE = tuple(min(v - v % 3, 252) for v in range(256))
 _BAND_PIXELS = 1 << 18
 
 
-def _code(digits):
-    """Pack 4 base-3 digits, digits[0] most significant, into one code < 81.
-    digits holds the 4 digit arrays on its first axis."""
-    return ((digits[0] * 3 + digits[1]) * 3 + digits[2]) * 3 + digits[3]
-
-
-# Transform kernel tables (see the module docstring).  Every table is small
-# and built with the long axis innermost, which keeps import cheap.
-_D3 = (np.arange(81) // 3 ** np.arange(3, -1, -1)[:, None] % 3).astype(np.uint8)  # (4, 81)
-# 12-bit row code x0 + 8*x1 + 64*x2 + 512*x3 (digits 0..7) -> base-3 code of H*row mod 3.
-_ROW = _code(np.array(hntt.H4) @ (np.arange(4096) >> np.arange(0, 12, 3)[:, None] & 7) % 3).astype(np.uint8)
-_ADD = _code((_D3[:, :, None] + _D3[:, None]) % 3).ravel()
-_SUB = _code((_D3[:, :, None] + 3 - _D3[:, None]) % 3).ravel()
-# Entry p is the digits of _ADD[p] (_SUB[p]) as one word, first digit in the
-# first byte: the rows of the (81, 4) digit table, one uint32 per code.
-_ADD_WORDS, _SUB_WORDS = np.ascontiguousarray(_D3.T).view(np.uint32).ravel()[[_ADD, _SUB]]
-# Hamming distance between two base-3 row codes, by [x, y].
-_DIST = (_D3[:, :, None] != _D3[:, None]).sum(0, dtype=np.uint8)
+# Transform kernel table (see the module docstring): entry c, for the 12-bit
+# row code c = x0 + 8*x1 + 64*x2 + 512*x3 of digits 0..7, is one word whose
+# bytes, in memory order, are the digits of H*row mod 3.
+_ROW_DIGITS = np.array(hntt.H4) @ (np.arange(4096) >> np.arange(0, 12, 3)[:, None] & 7) % 3  # (4, 4096)
+_ROW = np.ascontiguousarray(_ROW_DIGITS.T, np.uint8).view(np.uint32).ravel()
 
 
 def _word_table(texts, dtype) -> np.ndarray:
@@ -208,57 +202,51 @@ def _row_codes(a: np.ndarray) -> np.ndarray:
     return v
 
 
-def _column_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T of every 4x4 block of an (h, w) uint8 array of digits 0..7, mod 3,
-    up to its last four lookups: the pair codes 81*A0 + A2 and 81*A1 + A3,
-    each (h//4, w//4) uint16.
-
-    H runs along each block row through _ROW, then down the columns as the
-    two butterfly stages of hntt.hntt_1d_fast on whole row codes through
-    _ADD and _SUB: A0, A1 (A2, A3) are the sum and difference of rows 0
-    and 1 (2 and 3), and rows 0..3 of the result are _ADD and _SUB of the
-    first pair code, then of the second.
-    """
-    h, w = a.shape
-    rows = _ROW.take(_row_codes(a)).reshape(h // 4, 4, w // 4)
-    pair01 = np.multiply(rows[:, 0], 81, dtype=np.uint16) + rows[:, 1]
-    pair23 = np.multiply(rows[:, 2], 81, dtype=np.uint16) + rows[:, 3]
-    pair02 = np.multiply(_ADD.take(pair01), 81, dtype=np.uint16) + _ADD.take(pair23)
-    pair13 = np.multiply(_SUB.take(pair01), 81, dtype=np.uint16) + _SUB.take(pair23)
-    return pair02, pair13
-
-
-def _transform(a: np.ndarray) -> np.ndarray:
-    """T of every 4x4 block of an (h, w) uint8 array of digits 0..7, mod 3.
-
-    h and w are multiples of 4; the result is uint8 in {0, 1, 2}, in image
+def _transform_sums(a: np.ndarray) -> np.ndarray:
+    """T of every 4x4 block of an (h, w) uint8 array of digits 0..7, up to
+    its final mod 3: uint8 sums 0..12, each congruent to T mod 3, in image
     layout like the input.
+
+    H runs along each block row through _ROW, which gives each block's
+    rows r0..r3 as words of digits, then down the columns as plain word
+    adds: with p = r0 + r1 and q = r2 + r3, rows 0..3 of the result are
+    p + q, p + 2q, p + q + r1 + r3 and p + q + r1 + r2, the rows of H4.
+    Each byte sums at most 6 digits of at most 2, so no byte carries.
+    The lookup reads the codes of every block's row 0, then row 1, and so
+    on, so each r_k and each partial sum is one contiguous array (numpy
+    runs strided arrays several times slower), and only the four final
+    adds write strided, into image layout.
     """
     h, w = a.shape
-    pair02, pair13 = _column_pairs(a)
+    r0, r1, r2, r3 = _ROW.take(_row_codes(a).reshape(h // 4, 4, w // 4).swapaxes(0, 1))
     out = np.empty((h // 4, 4, w // 4), dtype=np.uint32)
-    out[:, 0] = _ADD_WORDS.take(pair02)
-    out[:, 1] = _SUB_WORDS.take(pair02)
-    out[:, 2] = _ADD_WORDS.take(pair13)
-    out[:, 3] = _SUB_WORDS.take(pair13)
+    s0, s1, s2, s3 = out.swapaxes(0, 1)
+    q = r2 + r3
+    c = r0 + r1
+    c += q  # p + q
+    np.copyto(s0, c)
+    np.add(c, q, out=s1)
+    c += r1
+    np.add(c, r3, out=s2)
+    np.add(c, r2, out=s3)
     return out.view(np.uint8).reshape(h, w)
-
-
-def _cell_distances(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distance tables of a 4x4 ternary cell over the pair codes of
-    _column_pairs, two 6561-entry uint8 arrays.  Rows 0 and 1 of a
-    transformed block are _ADD and _SUB of its first pair code p, so entry
-    p of the first table is their Hamming distance to the cell's rows 0
-    and 1; the second does the same for rows 2 and 3 and the second pair
-    code.  A block's distance to the cell is one lookup in each."""
-    c0, c1, c2, c3 = _code(cell.T)
-    return _DIST[_ADD, c0] + _DIST[_SUB, c1], _DIST[_ADD, c2] + _DIST[_SUB, c3]
 
 
 def _band_rows(w: int) -> int:
     """Pixel rows per band of _run_bands for an image w pixels wide: whole
     block rows, about _BAND_PIXELS pixels, at least one block row."""
     return 4 * max(1, _BAND_PIXELS // (4 * w))
+
+
+def _per_band(cells: np.ndarray, h: int, w: int, f):
+    """The function rows -> f(cells[rows]) over the bands of an (h, w)
+    image, for a validated 4x4 cell or (h, w) grid and a blockwise f.  A
+    cell's f(cell) is computed once and tiled to one band, which every
+    band slices; a grid's is computed band by band."""
+    if cells.shape == (4, 4):
+        tile = np.tile(f(cells), (min(_band_rows(w), h) // 4, w // 4))
+        return lambda rows: tile[: rows.stop - rows.start]
+    return lambda rows: f(cells[rows])
 
 
 def _cpus() -> int:
@@ -321,9 +309,11 @@ def _run_bands(work, h: int, w: int, threads: int | None = None) -> None:
 
 def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
     """out = d + (r + t) mod 3 with d = 3*min(x // 3, 84) and r = x - d
-    (r = 3 at x = 255, which the mod folds), for pixels x and transformed
-    cells t of x's shape; out must not overlap x.  All in uint8, and built
-    up in out: numpy vectorizes floor division by a scalar, and not %."""
+    (r = 3 at x = 255, which the mod folds), for pixels x and t of x's
+    shape; t may be any uint8 congruent to T(w) mod 3 and at most 252, such
+    as T's sums, since r + t then stays within a byte.  out must not
+    overlap x.  All in uint8, and built up in out: numpy vectorizes floor
+    division by a scalar, and not %."""
     d = x // 3
     d -= d == 85  # not np.minimum: against a scalar it is ~20x slower
     d *= 3
@@ -338,16 +328,13 @@ def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
 def _embed(img: np.ndarray, cells: np.ndarray, threads: int | None = None) -> np.ndarray:
     """embed_image on validated (h, w) uint8 pixels and a validated 4x4
     cell or (h, w) grid, with the bands on at most `threads` threads (see
-    _run_bands).  A cell is transformed once and tiled to one band, which
-    every band slices; a grid is transformed band by band."""
+    _run_bands), and T(w) through _per_band."""
     h, w = img.shape
     out = np.empty((h, w), dtype=np.uint8)
-    cell = cells.shape == (4, 4)
-    if cell:
-        tile = np.tile(_transform(cells), (min(_band_rows(w), h) // 4, w // 4))
+    transformed = _per_band(cells, h, w, _transform_sums)
 
     def band(rows: slice) -> None:
-        _embed_into(out[rows], img[rows], tile[: rows.stop - rows.start] if cell else _transform(cells[rows]))
+        _embed_into(out[rows], img[rows], transformed(rows))
 
     _run_bands(band, h, w, threads)
     return out
@@ -391,7 +378,10 @@ def extract_image(original, suspect) -> np.ndarray:
     out = np.empty((h, w), dtype=np.uint8)
 
     def band(rows: slice) -> None:
-        out[rows] = _transform(_difference_digits(orig[rows], susp[rows]))
+        sums = _transform_sums(_difference_digits(orig[rows], susp[rows]))
+        q = sums // 3
+        q *= 3
+        np.subtract(sums, q, out=out[rows])
 
     _run_bands(band, h, w)
     return out
@@ -551,22 +541,20 @@ def verify(original, suspect, reference, threshold: int = 0) -> TamperReport:
     h, w = orig.shape
     distances = np.empty((h // 4, w // 4), dtype=np.uint8)
 
-    if cells.shape == (4, 4):
-        dist02, dist13 = _cell_distances(cells)
+    negated = _per_band(cells, h, w, lambda c: 3 - c)
 
-        def band(rows: slice) -> None:
-            pair02, pair13 = _column_pairs(_difference_digits(orig[rows], susp[rows]))
-            np.add(dist02.take(pair02), dist13.take(pair13), out=distances[rows.start // 4 : rows.stop // 4])
-
-    else:
-
-        def band(rows: slice) -> None:
-            # Count in uint8 (at most 16 per block): add the 4 rows of each
-            # block, then its 4 columns.  Far cheaper than a strided int64 sum.
-            extracted = _transform(_difference_digits(orig[rows], susp[rows]))
-            diff = (extracted.reshape(-1, 4, w) != cells[rows].reshape(-1, 4, w)).view(np.uint8)
-            cols = (diff[:, 0] + diff[:, 1] + diff[:, 2] + diff[:, 3]).reshape(-1, w // 4, 4)
-            np.add(cols[..., 0] + cols[..., 1], cols[..., 2] + cols[..., 3], out=distances[rows.start // 4 : rows.stop // 4])
+    def band(rows: slice) -> None:
+        # a byte of (sums + 3 - reference) * 171 is > 85 where the digit
+        # does not match (see the module docstring)
+        sums = _transform_sums(_difference_digits(orig[rows], susp[rows]))
+        sums += negated(rows)
+        sums *= 171
+        words = (sums > 85).view(np.uint32).reshape(-1, 4, w // 4)
+        counts = words[:, 0] + words[:, 1]
+        counts += words[:, 2]
+        counts += words[:, 3]
+        counts *= 0x01010101
+        np.right_shift(counts, 24, out=distances[rows.start // 4 : rows.stop // 4], casting="unsafe")
 
     _run_bands(band, h, w)
     return TamperReport(threshold=threshold, distances=distances)

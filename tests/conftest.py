@@ -67,22 +67,22 @@ def inline_pool(monkeypatch):
 @pytest.fixture
 def failing_bands(monkeypatch):
     """Cut every route into one-block-row bands on two CPUs, whatever the
-    host has, and make the transform kernel's shared entry, _column_pairs,
-    raise a MemoryError when a helper's band reaches it (helper bands run
-    on pool threads, the caller's on the main thread); calls made before
-    the fan-out, and the caller's own bands, still work.  Every band that
-    transforms goes through _column_pairs: _transform calls it, and
-    verify with a cell reference calls it alone.  Returns the error
+    host has, and make the transform kernel, _transform_sums, raise a
+    MemoryError when a helper's band reaches it (helper bands run on pool
+    threads, the caller's on the main thread); calls made before the
+    fan-out, such as a cell's transform, and the caller's own bands, still
+    work.  Every band that transforms calls _transform_sums: embed with a
+    grid, extract, and verify against a cell or a grid.  Returns the error
     raised."""
     error = MemoryError("band out of memory")
-    column_pairs = watermark._column_pairs
+    transform_sums = watermark._transform_sums
 
     def failing(a):
         if threading.current_thread() is not threading.main_thread():
             raise error
-        return column_pairs(a)
+        return transform_sums(a)
 
     monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
     monkeypatch.setattr(watermark, "_cpus", lambda: 2)
-    monkeypatch.setattr(watermark, "_column_pairs", failing)
+    monkeypatch.setattr(watermark, "_transform_sums", failing)
     return error

@@ -12,16 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hnttmark import hntt, watermark
-from hnttmark.watermark import (
-    _ADD,
-    _ADD_WORDS,
-    _ROW,
-    _SUB,
-    _SUB_WORDS,
-    _cell_distances,
-    _row_codes,
-    _transform,
-)
+from hnttmark.watermark import _ROW, _row_codes, _transform_sums
 
 # Literal copy of the transform matrix so oracle arithmetic below never
 # touches the code paths under test.
@@ -248,8 +239,9 @@ def test_linearity(transform):
 
 
 def _transform_stack(blocks):
-    """The image kernel on an (n, 4, 4) stack, passed as its (4n, 4) image."""
-    return _transform(blocks.reshape(-1, 4)).reshape(blocks.shape)
+    """The image kernel on an (n, 4, 4) stack, passed as its (4n, 4) image,
+    reduced mod 3 as extract_image reduces it."""
+    return _transform_sums(blocks.reshape(-1, 4)).reshape(blocks.shape) % 3
 
 
 def test_special_2d_collision_free_on_random_blocks():
@@ -272,22 +264,16 @@ def test_special_2d_collision_free_on_random_blocks():
 # ------------------------------------------------ packed-row image kernel
 
 
-def _digits_of(code, base):
-    return [code // base**3 % base, code // base**2 % base, code // base % base, code % base]
-
-
-def _code_of(digits, base):
-    return ((digits[0] * base + digits[1]) * base + digits[2]) * base + digits[3]
-
-
 def test_kernel_row_table_exhaustive():
-    # every row of digits 0..7, the range of the 12-bit row code
-    assert _ROW.shape == (4096,)
+    # every row of digits 0..7, the range of the 12-bit row code: entry c is
+    # one word whose bytes, in memory order, are the digits of H*row mod 3
+    assert _ROW.dtype == np.uint32 and _ROW.shape == (4096,)
+    words = _ROW.view(np.uint8).reshape(4096, 4).tolist()
     for code in range(4096):
         row = [code >> shift & 7 for shift in (0, 3, 6, 9)]
-        want = _code_of(hntt.hntt_1d([d % 3 for d in row]), 3)
+        want = hntt.hntt_1d([d % 3 for d in row])
         # _ROW is built from H4, as hntt_1d is; the butterflies are independent
-        assert _ROW[code] == want == _code_of(hntt.hntt_1d_fast([d % 3 for d in row]), 3)
+        assert words[code] == want == hntt.hntt_1d_fast([d % 3 for d in row])
 
 
 def test_kernel_row_codes_exhaustive():
@@ -303,37 +289,63 @@ def test_kernel_row_codes_exhaustive():
     assert np.array_equal(_row_codes(wide[:, ::2]), codes)
 
 
-def test_kernel_add_sub_tables_exhaustive():
-    assert _ADD.shape == _SUB.shape == (81 * 81,)
-    for x, y in product(range(81), repeat=2):
-        dx, dy = _digits_of(x, 3), _digits_of(y, 3)
-        assert _ADD[81 * x + y] == _code_of([(a + b) % 3 for a, b in zip(dx, dy)], 3)
-        assert _SUB[81 * x + y] == _code_of([(a - b) % 3 for a, b in zip(dx, dy)], 3)
+@pytest.mark.parametrize("fill", ["random", "worst"])
+@pytest.mark.parametrize("position", range(4))
+def test_kernel_sums_exhaustive_in_each_row_position(position, fill):
+    # all 4096 rows of digits 0..7 at one row position of 4096 blocks, the
+    # other rows filled: the sums are congruent to the reference transform
+    # mod 3 and no byte exceeds 12, so no word add carried.  The worst fill,
+    # (2, 0, 0, 0), is the row whose transform is (2, 2, 2, 2), so around it
+    # every column sum takes its largest value
+    rows = np.array(list(product(range(8), repeat=4)), dtype=np.uint8)
+    if fill == "random":
+        blocks = np.random.RandomState(position).randint(0, 8, (4096, 4, 4)).astype(np.uint8)
+    else:
+        blocks = np.tile(np.array([2, 0, 0, 0], dtype=np.uint8), (4096, 4, 1))
+    blocks[:, position] = rows
+    sums = _transform_sums(blocks.reshape(-1, 4)).reshape(blocks.shape)
+    assert sums.dtype == np.uint8 and sums.max() <= 12
+    assert fill == "random" or sums.max() == 12
+    for got, block in zip(sums % 3, blocks % 3):
+        assert got.tolist() == hntt.special_hntt_2d(block.tolist())
 
 
-def test_kernel_word_tables_hold_digits_exhaustive():
-    # entry 81*a + b is one word whose bytes, in memory order, are the
-    # digits of a + b (or a - b) digitwise mod 3, first digit first
-    for table, sign in ((_ADD_WORDS, 1), (_SUB_WORDS, -1)):
-        assert table.dtype == np.uint32 and table.shape == (81 * 81,)
-        digits = table.view(np.uint8).reshape(81 * 81, 4).tolist()
-        for a, b in product(range(81), repeat=2):
-            da, db = _digits_of(a, 3), _digits_of(b, 3)
-            assert digits[81 * a + b] == [(x + sign * y) % 3 for x, y in zip(da, db)]
+def test_divisibility_by_multiplying_with_171_exhaustive():
+    # 171 is 1/3 mod 256: a byte times 171 is at most 85 exactly when 3
+    # divides it, the test verify runs on sums + 3 - reference
+    x = np.arange(256, dtype=np.uint8)
+    assert (171 * 3) % 256 == 1
+    assert np.array_equal(x * np.uint8(171) <= 85, x % 3 == 0)
 
 
-@given(arrays(np.uint8, (4, 4), elements=st.integers(0, 2)))
-def test_cell_distance_tables_exhaustive(cell):
-    # every pair code p = 81*a + b against a brute-force count: rows 0 and 1
-    # of a block are a + b and a - b digitwise mod 3, as are rows 2 and 3
-    # from the second pair code
-    a, b = np.divmod(np.arange(81 * 81), 81)
-    da, db = np.stack(_digits_of(a, 3), 1), np.stack(_digits_of(b, 3), 1)
-    tables = _cell_distances(cell)
-    for table, (first, second) in zip(tables, (cell[:2], cell[2:])):
-        assert table.dtype == np.uint8 and table.shape == (81 * 81,)
-        want = ((da + db) % 3 != first).sum(1) + ((da - db) % 3 != second).sum(1)
-        assert table.tolist() == want.tolist()
+@pytest.mark.parametrize("shape", [(4, 4), (8, 68), (68, 8), (4096, 4)])
+def test_verify_block_counts_match_brute_force(shape):
+    # a grid reference that differs from the extracted pattern in k random
+    # pixels of block b, with k = b mod 17: every count 0..16, 16 included;
+    # and a cell reference, against the same count made in plain numpy
+    rng = np.random.RandomState(sum(shape))
+    h, w = shape
+    orig = rng.randint(0, 256, shape).astype(np.uint8)
+    susp = rng.randint(0, 256, shape).astype(np.uint8)
+    by, bx = h // 4, w // 4
+    as_blocks = lambda a: a.reshape(by, 4, bx, 4).swapaxes(1, 2).reshape(-1, 16)
+    # the extracted cells by the pure-Python block route
+    extracted = np.array([watermark.extract_block(o.reshape(4, 4), s.reshape(4, 4))
+                          for o, s in zip(as_blocks(orig), as_blocks(susp))], dtype=np.uint8).reshape(-1, 16)
+    want = np.arange(by * bx) % 17
+    reference = extracted.copy()
+    for b, k in enumerate(want):
+        where = rng.permutation(16)[:k]
+        reference[b, where] = (reference[b, where] + rng.randint(1, 3, k)) % 3
+    grid = reference.reshape(by, bx, 4, 4).swapaxes(1, 2).reshape(shape)
+    assert watermark.verify(orig, susp, grid).distances.ravel().tolist() == want.tolist()
+    cell = rng.randint(0, 3, (4, 4)).astype(np.uint8)
+    counts = (extracted != cell.ravel()).sum(1)
+    assert watermark.verify(orig, susp, cell).distances.ravel().tolist() == counts.tolist()
+    # a cell that differs from block 0's extracted cell in every pixel, so
+    # a count against a cell reaches 16 too
+    far = (extracted[0].reshape(4, 4) + 1) % 3
+    assert watermark.verify(orig, susp, far).distances.ravel()[0] == 16
 
 
 def _triple_product(blocks):
@@ -355,7 +367,7 @@ def test_kernel_matches_oracles_on_ternary_stacks(blocks):
     lambda s: arrays(np.uint8, (4 * s[0], 4 * s[1]), elements=st.integers(0, 4))))
 def test_kernel_matches_oracles_on_digit_images(image):
     # image layout in and out: block (y, x) is image[4y:4y+4, 4x:4x+4]
-    got = _transform(image)
+    got = _transform_sums(image) % 3
     assert got.dtype == np.uint8 and got.shape == image.shape
     by, bx = image.shape[0] // 4, image.shape[1] // 4
     blocks = (image % 3).reshape(by, 4, bx, 4).swapaxes(1, 2).reshape(-1, 4, 4)

@@ -74,13 +74,15 @@ def test_image_residue_digits_exhaustive():
 
 
 def test_image_embed_arithmetic_exhaustive():
-    # every (pixel, transformed cell entry) pair against the tables
-    x, t = (a.astype(np.uint8) for a in np.meshgrid(np.arange(256), np.arange(3), indexing="ij"))
+    # every (pixel, transformed cell entry) pair against the tables; the
+    # entry may be any value up to 252 that is congruent to T(w) mod 3, as
+    # the transform's sums are
+    x, t = (a.astype(np.uint8) for a in np.meshgrid(np.arange(256), np.arange(253), indexing="ij"))
     out = np.empty_like(x)
     watermark._embed_into(out, x, t)
-    want = [[DIVISIBLE_TABLE[v] + (RESIDUE_TABLE[v] + e) % 3 for e in range(3)] for v in range(256)]
+    want = [[DIVISIBLE_TABLE[v] + (RESIDUE_TABLE[v] + e) % 3 for e in range(253)] for v in range(256)]
     assert out.tolist() == want
-    assert x.tolist() == [[v] * 3 for v in range(256)]  # the input is left alone
+    assert x.tolist() == [[v] * 253 for v in range(256)]  # the input is left alone
 
 
 def test_embed_routes_match_a_plain_restatement_at_full_band_size(monkeypatch):
