@@ -4,12 +4,16 @@ Exit status convention: 0 success, 1 usage/IO/validation error, 2 means
 verify found at least one tampered block.  All computation lives in the
 library modules; this file only parses arguments, loads files, calls and
 prints.
+
+embed, extract and verify open each input file first (imageio.open_pgm
+and open_watermark judge it up to its raster), then run the route, which
+reads a regular P5 file's raster band by band; an output is written only
+once the route has succeeded, so an error leaves no output file changed.
 """
 
 import argparse
+import contextlib
 import sys
-
-import numpy as np
 
 from . import attacks, engine, galois, hntt, imageio, watermark
 
@@ -47,10 +51,10 @@ def fraction(text: str) -> float:
     return float(text)
 
 
-def _load_pattern(args) -> np.ndarray:
+def _open_pattern(args):
     if args.watermark:
-        return imageio.load_watermark(args.watermark)
-    return watermark.checkerboard_cell()
+        return imageio.open_watermark(args.watermark)
+    return contextlib.nullcontext(watermark.checkerboard_cell())
 
 
 def _cmd_params(args) -> int:
@@ -92,30 +96,32 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    image = imageio.load_pgm(args.input)
-    if args.pad:
-        image = imageio.pad_to_multiple(image)
-    marked = watermark.embed_image(image, _load_pattern(args))
+    with imageio.open_pgm(args.input) as image, _open_pattern(args) as pattern:
+        if args.pad:
+            image = imageio.pad_to_multiple(image[:])  # the whole image, read and judged
+        marked = watermark.embed_image(image, pattern)
     imageio.save_pgm(args.output, marked)
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
-    original = imageio.load_pgm(args.original)
-    suspect = imageio.load_pgm(args.suspect)
-    pattern = watermark.extract_image(original, suspect)
+    with imageio.open_pgm(args.original) as original, imageio.open_pgm(args.suspect) as suspect:
+        pattern = watermark.extract_image(original, suspect)
     imageio.save_watermark(args.output, pattern)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    original = imageio.load_pgm(args.original)
-    suspect = imageio.load_pgm(args.suspect)
-    report = watermark.verify(original, suspect, _load_pattern(args), args.threshold)
+    with (
+        imageio.open_pgm(args.original) as original,
+        imageio.open_pgm(args.suspect) as suspect,
+        _open_pattern(args) as pattern,
+    ):
+        report = watermark.verify(original, suspect, pattern, args.threshold)
     print(report.to_text())
     if args.report:
         with open(args.report, "wb") as fh:
-            fh.write(report.to_json() + b"\n")
+            fh.writelines((report.to_json(), b"\n"))  # no joined copy of the document
     return EXIT_TAMPERED if report.total_tampered else EXIT_OK
 
 

@@ -37,9 +37,25 @@ comment may stand there; only whitespace may follow the raster.
 Watermark patterns use the same container with maxval 2; every sample
 must be a GF(3) value in {0, 1, 2}.  Images are numpy uint8 arrays of
 shape (height, width).
+
+Where a raster is read.  read_pgm and load_pgm decode a whole file into
+one array.  The CLI opens its inputs with open_pgm and open_watermark
+instead: a regular P5 file is judged up to its raster when it is opened
+(header, separator, size from fstat, trailing bytes, by read_pgm's
+rules: _header and _raster_offset), and becomes a _Raster, which the
+image routes index a band of pixel rows at a time; each band's rows are
+read with os.preadv in the band's thread and their range is judged
+then.  The gate takes a raster as it is once its shape passes.  Any
+other file (P2, a pipe, a platform without os.preadv) is read whole by
+read_pgm.  So for a regular P5 file the header rules of every file come
+first, then the shape rules, then the range of each band's samples; a
+file read whole has its samples judged when it is read.
 """
 
+import contextlib
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -51,6 +67,8 @@ _COMMENT_RE = re.compile(_COMMENT)
 # to the next whitespace or '#' (none left: an empty group)
 _TOKEN_RE = re.compile(rb"(?:\s|%s)*([^\s#]*)" % _COMMENT)
 _RANGE_ERROR = "PGM pixel value out of range [0, %d]"
+_TERNARY_ERROR = "%s values must be in {0, 1, 2}, found %d"
+_PREFIX = 4096  # bytes a file's header is first looked for in
 
 
 def _integer(value, name: str, low: int | None = None) -> int:
@@ -75,9 +93,11 @@ def _integers(values, what: str, shape=None) -> np.ndarray:
     bool among them is rejected, and Python ints that numpy widens to
     float64 (2**63 beside 0) are held as objects, like those beyond 64 bits.
     """
-    arr = np.asarray(values)
+    arr = values if isinstance(values, _Raster) else np.asarray(values)
     if shape and (message := shape(arr.shape)):
         raise ValueError(message)
+    if isinstance(arr, _Raster):
+        return arr
     if not isinstance(values, np.ndarray) and arr.dtype.kind in "iuf":
         leaves = np.asarray(values, dtype=object)
         kinds = set(map(type, leaves.flat))
@@ -94,9 +114,13 @@ def as_pixels(pixels, name: str = "image", shape=None) -> np.ndarray:
 
     Any shape is accepted, empty included (an image, an (n, 4, 4) block
     stack), unless the rule `shape` of _integers refuses it first.  Bools
-    are not integers here.  `name` leads the error message.
+    are not integers here.  `name` leads the error message.  A raster
+    from open_pgm is returned as it is once its shape passes: it judges
+    its range band by band, as it is read.
     """
     arr = _integers(pixels, name + " pixels", shape)
+    if isinstance(arr, _Raster):
+        return arr
     if arr.dtype != np.uint8 and arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("%s pixels must be in [0, 255]" % name)
     return arr.astype(np.uint8, copy=False)
@@ -131,13 +155,17 @@ def as_ternary(pattern, name: str = "watermark", shape=None) -> np.ndarray:
     Any shape is accepted, empty included (a 2-D grid, a 4x4 cell, an
     (n, 4, 4) cell stack), unless the rule `shape` of _integers refuses
     it first.  Bools are not integers here.  `name` leads the error message.
+    A raster from open_watermark is returned as it is once its shape
+    passes: it judges its range band by band, as it is read.
     """
     arr = _integers(pattern, name + " values", shape)
+    if isinstance(arr, _Raster):
+        return arr
     if arr.size:
         low = arr.min() if arr.dtype.kind != "u" else 0  # unsigned values are never negative
         high = arr.max()
         if low < 0 or high > 2:
-            raise ValueError("%s values must be in {0, 1, 2}, found %d" % (name, low if low < 0 else high))
+            raise ValueError(_TERNARY_ERROR % (name, low if low < 0 else high))
     return arr.astype(np.uint8, copy=False)
 
 
@@ -154,13 +182,18 @@ def _decimal(token: str | bytes, message: str) -> int:
     raise ValueError(message)
 
 
-def _header(data: bytes) -> tuple[bytes, int, int, int, int]:
+def _header(data: bytes, whole: bool = True) -> tuple[bytes, int, int, int, int] | None:
     """The validated header of a PGM: magic, width, height, maxval, and
-    the offset just past the maxval token."""
+    the offset just past the maxval token.  If data is only the first
+    bytes of the file (not `whole`), None when a field, or a comment before
+    it, runs to the end of data and so may go on past it: the caller reads
+    more.  Otherwise a byte follows every field, so each is complete."""
     fields, pos = [], 0
     for name in ("magic", "width", "height", "maxval"):
         match = _TOKEN_RE.match(data, pos)
         token, pos = match[1], match.end()
+        if pos == len(data) and not whole:
+            return None
         if not token:
             raise ValueError("truncated PGM header")
         if name != "magic":
@@ -179,6 +212,22 @@ def _header(data: bytes) -> tuple[bytes, int, int, int, int]:
     return magic, width, height, maxval, pos
 
 
+def _raster_offset(data: bytes, pos: int, count: int, size: int, tail) -> int:
+    """The offset of the raster of a P5 file of `size` bytes whose header,
+    in its first bytes `data`, ends at `pos`, once the rules after the
+    header hold: exactly one whitespace byte separates the header from the
+    raster, the file holds all `count` raster bytes, and only whitespace
+    follows them, as tail(end) gives the bytes from offset end on."""
+    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        raise ValueError("malformed PGM header: missing separator before pixel data")
+    pos += 1
+    if size - pos < count:
+        raise ValueError("truncated PGM pixel data: expected %d bytes, got %d" % (count, size - pos))
+    if tail(pos + count).strip(_WHITESPACE):
+        raise ValueError("trailing data after PGM raster")
+    return pos
+
+
 def read_pgm(data: bytes) -> np.ndarray:
     """Parse a binary (P5) or plain (P2) PGM with maxval <= 255.
 
@@ -188,14 +237,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     count = width * height
 
     if magic == b"P5":
-        # exactly one whitespace byte separates the header from the raster
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
-            raise ValueError("malformed PGM header: missing separator before pixel data")
-        pos += 1
-        if len(data) - pos < count:
-            raise ValueError("truncated PGM pixel data: expected %d bytes, got %d" % (count, len(data) - pos))
-        if data[pos + count :].strip(_WHITESPACE):
-            raise ValueError("trailing data after PGM raster")
+        pos = _raster_offset(data, pos, count, len(data), lambda end: data[end:])
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos).reshape(height, width).copy()
         if maxval < 255 and pixels.max() > maxval:
             raise ValueError(_RANGE_ERROR % maxval)
@@ -243,6 +285,87 @@ def _watermark_parts(pattern) -> tuple[bytes, np.ndarray]:
 def write_watermark(pattern) -> bytes:
     """Serialize a ternary pattern as binary PGM with maxval 2."""
     return b"".join(_watermark_parts(pattern))
+
+
+class _Raster:
+    """The raster of a regular P5 file whose header, separator, size and
+    trailing bytes have passed, read a band at a time.
+
+    raster[rows], for a slice of pixel rows, reads those rows into a new
+    (rows, width) uint8 array with os.preadv, which releases the
+    interpreter lock, so band threads read their own rows side by side;
+    then it judges their range.  A value above min(maxval, cap) raises
+    what the whole-array route raises for the file: read_pgm's range
+    error if any value in it is above maxval, else (cap 2, a watermark)
+    as_ternary's, naming the largest.  The owner of fd closes it.
+    """
+
+    def __init__(self, fd: int, offset: int, shape: tuple[int, int], maxval: int, cap: int):
+        self.fd, self.offset, self.shape, self.maxval = fd, offset, shape, maxval
+        self.limit = min(maxval, cap)
+
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        width = self.shape[1]
+        out = np.empty((stop - start, width), dtype=np.uint8)
+        buf, at = out.reshape(-1), self.offset + start * width
+        while buf.size:  # a read stops short only past 2 GB, or if the file shrank
+            done = os.preadv(self.fd, [buf], at)
+            if not done:
+                raise ValueError("truncated PGM pixel data: the file shrank while it was read")
+            buf, at = buf[done:], at + done
+        return out
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        pixels = self._read(start, stop)
+        if self.limit < 255 and pixels.max() > self.limit:
+            high = max(int(self._read(y, y + 1).max()) for y in range(self.shape[0]))
+            if high > self.maxval:
+                raise ValueError(_RANGE_ERROR % self.maxval)
+            raise ValueError(_TERNARY_ERROR % ("watermark", high))
+        return pixels
+
+
+def _raster(fh, cap: int) -> _Raster | None:
+    """A _Raster of the open file fh that refuses values above
+    min(maxval, cap), if fh is a regular P5 file and os.preadv exists;
+    else None, and the file is read whole.  The header is looked for in
+    the first _PREFIX bytes, then in 16 times as many, until it is whole;
+    header, separator, size and trailing bytes are judged by read_pgm's
+    rules before it returns."""
+    fd = fh.fileno()
+    info = os.fstat(fd)
+    if not (hasattr(os, "preadv") and stat.S_ISREG(info.st_mode)):
+        return None
+    size = info.st_size
+    n = _PREFIX
+    while (header := _header(data := os.pread(fd, n, 0), n >= size)) is None:
+        n *= 16
+    magic, width, height, maxval, pos = header
+    if magic != b"P5":
+        return None
+    offset = _raster_offset(data, pos, width * height, size, lambda end: os.pread(fd, size - end, end))
+    return _Raster(fd, offset, (height, width), maxval, cap)
+
+
+@contextlib.contextmanager
+def open_pgm(path):
+    """The image of a PGM file, for the image routes, while the block is
+    open: a raster read band by band in the routes' threads for a regular
+    P5 file (header, separator, size and trailing bytes judged here, the
+    range of each band as it is read), else read_pgm's array."""
+    with open(path, "rb") as fh:
+        yield _raster(fh, 255) or read_pgm(fh.read())
+
+
+@contextlib.contextmanager
+def open_watermark(path):
+    """open_pgm for a watermark pattern, whose shape is judged here as
+    read_watermark judges it; a raster refuses values above 2 as it is
+    read, with read_watermark's messages."""
+    with open(path, "rb") as fh:
+        raster = _raster(fh, 2)
+        yield read_watermark(fh.read()) if raster is None else as_ternary(raster, shape=_blocks("watermark"))
 
 
 def load_pgm(path) -> np.ndarray:

@@ -41,6 +41,13 @@ numpy releases the interpreter lock in the gathers and the arithmetic, so
 bands overlap.  verify counts each band's distances straight into the
 grid and never builds the extracted image.
 
+A band takes its pixels, and a full grid's cells, as image[rows].  For an
+array that is a view.  For the raster of a regular P5 file that the CLI
+opens (imageio.open_pgm), it reads those rows from the file in the band's
+thread, with os.preadv, which also releases the lock, and judges their
+range; so the band computes on rows that are still in cache, and a
+sample out of range is reported from the band that reads it.
+
 Every image route runs T through one kernel, _transform_sums, which
 performs the paper's butterflies as one lookup per block row and then
 plain adds, with no multiplier.  It works on an (h, w) array in image
@@ -76,9 +83,10 @@ the block's distance.
 The divisible part is capped at 252 (pixels 253-255 share d = 252) so
 that x' = d + r' <= 254 always fits 8 bits; the cap costs at most 3 grey
 levels on pixels of value 255 and never disturbs x' mod 3 = r', which is
-all extraction reads.  The image routes cap the quotient as q -= q == 85
-(uint8 np.minimum against a scalar is ~20x slower); r = 3 at x = 255 is
-folded by the mod-3 step.  Per-pixel changes that are 0 mod 3, such as a
+all extraction reads.  The image routes cap the quotient as q -= (q ==
+85) viewed as uint8 (uint8 np.minimum against a scalar is ~20x slower,
+and a bool operand is cast first); r = 3 at x = 255 is folded by the
+mod-3 step.  Per-pixel changes that are 0 mod 3, such as a
 +3 intensity shift, are invisible to the scheme; that blind spot is
 inherent, not a bug.
 
@@ -238,13 +246,13 @@ def _band_rows(w: int) -> int:
     return 4 * max(1, _BAND_PIXELS // (4 * w))
 
 
-def _per_band(cells: np.ndarray, h: int, w: int, f):
+def _per_band(cells, h: int, w: int, f):
     """The function rows -> f(cells[rows]) over the bands of an (h, w)
-    image, for a validated 4x4 cell or (h, w) grid and a blockwise f.  A
-    cell's f(cell) is computed once and tiled to one band, which every
-    band slices; a grid's is computed band by band."""
+    image, for a validated 4x4 cell or (h, w) grid, an array or a raster,
+    and a blockwise f.  A cell's f(cells[:]) is computed once and tiled to
+    one band, which every band slices; a grid's is computed band by band."""
     if cells.shape == (4, 4):
-        tile = np.tile(f(cells), (min(_band_rows(w), h) // 4, w // 4))
+        tile = np.tile(f(cells[:]), (min(_band_rows(w), h) // 4, w // 4))
         return lambda rows: tile[: rows.stop - rows.start]
     return lambda rows: f(cells[rows])
 
@@ -315,7 +323,7 @@ def _embed_into(out: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
     overlap x.  All in uint8, and built up in out: numpy vectorizes floor
     division by a scalar, and not %."""
     d = x // 3
-    d -= d == 85  # not np.minimum: against a scalar it is ~20x slower
+    d -= (d == 85).view(np.uint8)  # not np.minimum, ~20x slower against a scalar; a bool operand is cast
     d *= 3
     np.subtract(x, d, out=out)
     out += t

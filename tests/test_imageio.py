@@ -1,11 +1,15 @@
 """PGM parsing/serialization, watermark files and padding."""
 
+import os
 import sys
 
 import numpy as np
 import pytest
 
+from hnttmark import imageio
 from hnttmark.imageio import (
+    open_pgm,
+    open_watermark,
     pad_to_multiple,
     read_pgm,
     read_watermark,
@@ -151,13 +155,48 @@ _HUGE = b"9" * 4300
         (b"P2 1 1 255 " + _DIGITS, "malformed plain PGM pixel value"),
     ],
 )
-def test_reader_messages(data, message):
+def test_reader_messages(tmp_path, data, message):
     with pytest.raises(ValueError) as exc:
         read_pgm(data)
     assert str(exc.value) == message
     with pytest.raises(ValueError) as exc:
         read_watermark(data)
     assert str(exc.value) == message
+    assert _opened_message(tmp_path, open_pgm, data) == message
+
+
+def _opened_message(tmp_path, opener, data) -> str:
+    """The message of opening data as a regular file with opener and reading
+    it whole: a P5 file is a raster, judged up to its raster when it is
+    opened and its samples as they are read."""
+    path = tmp_path / "file.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        with opener(path) as image:
+            image[:]
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("comment", range(imageio._PREFIX - 20, imageio._PREFIX))
+def test_a_header_past_the_first_read_is_read_whole(tmp_path, comment):
+    # the first read ends inside the comment, or inside a field, or just
+    # before the separator: each field must still be read whole
+    data = b"P5#" + b"c" * comment + b"\n12345 1 200\n" + bytes(range(201)) * 61 + bytes(84)
+    path = tmp_path / "long_header.pgm"
+    path.write_bytes(data)
+    with open_pgm(path) as image:
+        assert isinstance(image, imageio._Raster)
+        assert np.array_equal(image[:], read_pgm(data))
+
+
+def test_a_raster_that_shrinks_after_it_is_opened_is_refused(tmp_path):
+    path = tmp_path / "shrinks.pgm"
+    path.write_bytes(b"P5 4 8 255\n" + bytes(32))
+    with open_pgm(path) as image:
+        assert image[:4].shape == (4, 4)
+        os.truncate(path, 20)
+        with pytest.raises(ValueError, match="^truncated PGM pixel data: the file shrank while it was read$"):
+            image[4:8]
 
 
 @pytest.mark.parametrize(
@@ -169,10 +208,11 @@ def test_reader_messages(data, message):
         (b"P2 2 4 2" + b" 1" * 8, "watermark dimensions 2x4 are not multiples of 4"),
     ],
 )
-def test_watermark_reader_messages(data, message):
+def test_watermark_reader_messages(tmp_path, data, message):
     with pytest.raises(ValueError) as exc:
         read_watermark(data)
     assert str(exc.value) == message
+    assert _opened_message(tmp_path, open_watermark, data) == message
 
 
 def test_image_validation():

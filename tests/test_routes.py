@@ -6,6 +6,7 @@ routes must never run the reference route.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hnttmark import attacks, engine, hntt, watermark
-from hnttmark.cli import EXIT_OK, EXIT_TAMPERED, main
+from hnttmark import attacks, engine, hntt, imageio, watermark
+from hnttmark.cli import EXIT_ERROR, EXIT_OK, EXIT_TAMPERED, main
 from hnttmark.imageio import (
     as_pixels, as_ternary, load_pgm, load_watermark, read_watermark, save_pgm, save_watermark, write_pgm,
     write_watermark,
 )
+from hnttmark.watermark import checkerboard_cell
 
 # Scalars that are not GF(3) values or pixels, or not of an integer dtype.
 _ODD_SCALARS = [
@@ -304,3 +306,240 @@ def test_production_routes_never_call_the_reference_route(monkeypatch, tmp_path)
     args = ["verify", "--original", str(original), "--suspect", str(suspect), "--pattern", "checker"]
     assert main(args + ["--report", str(report)]) == EXIT_TAMPERED
     assert report.read_bytes() == want["verify"] + b"\n"
+
+
+# ------------------------------------------------------------ file sources
+
+# The CLI reads a regular P5 file band by band (imageio.open_pgm), and any
+# other input, a P2 file or a FIFO say, through read_pgm as one array.
+# Both must give what the library gives on read_pgm's array, byte for byte.
+
+
+def _pgm(pixels, maxval=255, comment=b"", trailing=b"", plain=False) -> bytes:
+    h, w = pixels.shape
+    head = b"%s\n#%s\n%d %d\n%d\n" % (b"P2" if plain else b"P5", comment, w, h, maxval)
+    body = " ".join(map(str, pixels.ravel().tolist())).encode() if plain else pixels.tobytes()
+    return head + body + trailing
+
+
+_IMAGE_FORMS = {
+    "p5": {},
+    "maxval 200": {"maxval": 200},
+    "5000-byte comment": {"comment": b"c" * 5000},
+    "trailing whitespace": {"trailing": b" \n\t\r\n"},
+    "p2": {"plain": True},
+    "fifo": {},
+    "no preadv": {},
+}
+# The watermark flag and, for a file, its maxval and whether it is a 4x4 cell.
+_PATTERNS = {"checker": None, "cell maxval 2": (2, True), "cell maxval 255": (255, True),
+             "grid maxval 2": (2, False), "grid maxval 255": (255, False)}
+
+
+def _feed_fifo(path, data):
+    """A FIFO at path and a thread that writes data into it once a reader opens it."""
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread
+
+
+def _cli(argv, capsys, outputs):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, [p.read_bytes() for p in outputs]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("pattern", list(_PATTERNS))
+@pytest.mark.parametrize("form", list(_IMAGE_FORMS))
+def test_cli_file_sources_match_the_array_route(tmp_path, capsys, monkeypatch, form, pattern, cpus):
+    # 36 rows in bands of 8 rows: the last band is 4 rows
+    monkeypatch.setattr(watermark, "_cpus", lambda: cpus)
+    monkeypatch.setattr(watermark, "_BAND_PIXELS", 8 * 44)
+    if form == "no preadv":
+        monkeypatch.delattr(os, "preadv")
+    rng = np.random.default_rng([27, cpus])
+    options = _IMAGE_FORMS[form]
+    maxval = options.get("maxval", 255)
+    img = rng.integers(0, maxval + 1, (36, 44), dtype=np.uint8)
+    if _PATTERNS[pattern] is None:
+        flags, cells = ["--pattern", "checker"], checkerboard_cell()
+    else:
+        wm_maxval, is_cell = _PATTERNS[pattern]
+        cells = rng.integers(0, 3, (4, 4) if is_cell else img.shape, dtype=np.uint8)
+        (tmp_path / "wm.pgm").write_bytes(_pgm(cells, wm_maxval, b"wm", b"\n"))
+        flags = ["--watermark", tmp_path / "wm.pgm"]
+    marked = watermark.embed_image(img, cells)
+    suspect = marked.copy()
+    suspect[35, 43] ^= 1  # in the last band
+    files = {"img": _pgm(img, **options), "susp": _pgm(suspect, **options)}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    report = watermark.verify(img, suspect, cells)
+    want = {
+        "embed": (EXIT_OK, "", "", [write_pgm(marked)]),
+        "extract": (EXIT_OK, "", "", [write_watermark(watermark.extract_image(img, suspect))]),
+        "verify": (EXIT_TAMPERED, report.to_text() + "\n", "", [report.to_json() + b"\n"]),
+    }
+    assert np.array_equal(imageio.read_pgm(files["img"]), img)
+
+    reads = []
+    read_pgm = imageio.read_pgm
+    monkeypatch.setattr(imageio, "read_pgm", lambda data: reads.append(len(data)) or read_pgm(data))
+    rows = []
+    read = imageio._Raster._read
+    monkeypatch.setattr(imageio._Raster, "_read", lambda self, lo, hi: rows.append(hi - lo) or read(self, lo, hi))
+    out, wm_out, json_out = tmp_path / "out.pgm", tmp_path / "out_wm.pgm", tmp_path / "report.json"
+    runs = {
+        "embed": (["embed", "--input", tmp_path / "img", "--output", out] + flags, [out]),
+        "extract": (["extract", "--original", tmp_path / "img", "--suspect", tmp_path / "susp", "--output", wm_out],
+                    [wm_out]),
+        "verify": (["verify", "--original", tmp_path / "img", "--suspect", tmp_path / "susp", "--report", json_out]
+                   + flags, [json_out]),
+    }
+    for command, (argv, outputs) in runs.items():
+        writer = None
+        if form == "fifo":  # the image of embed, the suspect of the others
+            fifo = tmp_path / ("fifo_" + command)
+            name = "img" if command == "embed" else "susp"
+            writer = _feed_fifo(fifo, files[name])
+            argv = [fifo if a == tmp_path / name else a for a in argv]
+        assert _cli(argv, capsys, outputs) == want[command], command
+        if writer is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    # No whole raster of a regular P5 file is read, only band rows.
+    assert max(rows, default=0) <= 8
+    assert bool(reads) == (form in ("p2", "fifo", "no preadv"))
+
+
+# Which error a file with two defects reports.  The header, separator, size
+# and trailing rules of each file are judged when it is opened, in argument
+# order, then the shape rules, then the threshold; a regular P5 file's values
+# are judged band by band as they are read, after all of these.  A P2 file
+# is read whole, its values judged as it is parsed, as before.
+_IMG = np.arange(256, dtype=np.uint8).reshape(16, 16)
+_TWO_DEFECTS = {
+    "image out of range, watermark header bad": (
+        ["embed", "--input", "high.pgm", "--output", "out.pgm", "--watermark", "bad_header.pgm"],
+        "malformed PGM header: bad height b'x'"),
+    "truncated suspect of the wrong size": (
+        ["verify", "--original", "img.pgm", "--suspect", "short.pgm"],
+        "truncated PGM pixel data: expected 64 bytes, got 10"),
+    "trailing data and a sample out of range": (
+        ["embed", "--input", "high_trailing.pgm", "--output", "out.pgm"],
+        "trailing data after PGM raster"),
+    "image out of range, not whole blocks": (
+        ["embed", "--input", "high_6x6.pgm", "--output", "out.pgm"],
+        "image dimensions 6x6 are not multiples of 4"),
+    "plain image out of range, not whole blocks": (
+        ["embed", "--input", "high_6x6_plain.pgm", "--output", "out.pgm"],
+        "PGM pixel value out of range [0, 100]"),
+    "watermark out of range, not whole blocks": (
+        ["embed", "--input", "img.pgm", "--output", "out.pgm", "--watermark", "high_wm_5x5.pgm"],
+        "watermark dimensions 5x5 are not multiples of 4"),
+    "original out of range, suspect of the wrong size": (
+        ["verify", "--original", "high.pgm", "--suspect", "img_8x8.pgm"],
+        "dimension mismatch: original is 16x16, suspect is 8x8"),
+    "original out of range, threshold negative": (
+        ["verify", "--original", "high.pgm", "--suspect", "img.pgm", "--threshold", "-1"],
+        "threshold must be >= 0, got -1"),
+}
+
+
+def _write_defective_files(directory):
+    high = np.minimum(_IMG, 100)
+    high[-1, -1] = 250  # above maxval 200, in the last band
+    high_6x6 = np.full((6, 6), 7, dtype=np.uint8)
+    high_6x6[5, 5] = 200
+    files = {
+        "img.pgm": _pgm(_IMG),
+        "img_8x8.pgm": _pgm(_IMG[:8, :8]),
+        "high.pgm": _pgm(high, 200),
+        "high_trailing.pgm": _pgm(high, 200, trailing=b"\nx"),
+        "high_6x6.pgm": _pgm(high_6x6, 100),
+        "high_6x6_plain.pgm": _pgm(high_6x6, 100, plain=True),
+        "high_wm_5x5.pgm": _pgm(np.full((5, 5), 201, dtype=np.uint8), 200),
+        "bad_header.pgm": b"P5 4 x 2\n" + bytes(16),
+        "short.pgm": b"P5 8 8 255\n" + bytes(10),
+    }
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+
+
+@pytest.mark.parametrize("case", list(_TWO_DEFECTS))
+def test_the_first_error_of_a_file_with_two_defects(tmp_path, capsys, monkeypatch, case):
+    _write_defective_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv, message = _TWO_DEFECTS[case]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not (tmp_path / "out.pgm").exists()
+
+
+_EARLIER_OUTPUT = b"an earlier output\n"
+_OUTPUTS = ("out.pgm", "out_wm.pgm", "report.json")
+
+
+def _commands_over_earlier_outputs(directory, suspect):
+    """embed, extract and verify --report argv whose image or suspect is
+    `suspect`, each over an output file that already exists."""
+    _write_defective_files(directory)
+    save_watermark(directory / "grid.pgm", np.random.RandomState(41).randint(0, 3, _IMG.shape))
+    for name in _OUTPUTS:
+        (directory / name).write_bytes(_EARLIER_OUTPUT)
+    return [
+        ["embed", "--input", suspect, "--output", "out.pgm", "--watermark", "grid.pgm"],
+        ["extract", "--original", "img.pgm", "--suspect", suspect, "--output", "out_wm.pgm"],
+        ["verify", "--original", "img.pgm", "--suspect", suspect, "--report", "report.json"],
+    ]
+
+
+def test_a_band_error_leaves_existing_outputs_as_they_were(tmp_path, capsys, monkeypatch, failing_bands):
+    monkeypatch.chdir(tmp_path)
+    for argv in _commands_over_earlier_outputs(tmp_path, "img.pgm"):
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: band out of memory\n")
+    assert all((tmp_path / name).read_bytes() == _EARLIER_OUTPUT for name in _OUTPUTS)
+
+
+def test_a_sample_above_maxval_in_the_last_band_leaves_existing_outputs_as_they_were(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)  # one block row per band, on two threads
+    monkeypatch.setattr(watermark, "_cpus", lambda: 2)
+    for argv in _commands_over_earlier_outputs(tmp_path, "high.pgm"):
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: PGM pixel value out of range [0, 200]\n")
+    assert all((tmp_path / name).read_bytes() == _EARLIER_OUTPUT for name in _OUTPUTS)
+
+
+@pytest.mark.parametrize("maxval, values, message", [
+    (2, {1: 3}, "PGM pixel value out of range [0, 2]"),
+    (200, {0: 7, 1: 150}, "watermark values must be in {0, 1, 2}, found 150"),
+    (100, {0: 150, 1: 5}, "PGM pixel value out of range [0, 100]"),
+    (255, {1: 5, 0: 255}, "watermark values must be in {0, 1, 2}, found 255"),
+])
+def test_a_watermark_raster_reports_what_read_watermark_reports(tmp_path, monkeypatch, maxval, values, message):
+    # values above 2 in two bands of one block row each: the message names
+    # the file's largest value, whichever band is read first
+    monkeypatch.setattr(watermark, "_BAND_PIXELS", 1)
+    monkeypatch.setattr(watermark, "_cpus", lambda: 2)
+    grid = np.zeros((8, 8), dtype=np.uint8)
+    for band, value in values.items():
+        grid[4 * band + 3, 5] = value
+    path = tmp_path / "wm.pgm"
+    path.write_bytes(_pgm(grid, maxval))
+    with pytest.raises(ValueError) as info:
+        read_watermark(path.read_bytes())
+    assert str(info.value) == message
+    with imageio.open_watermark(path) as raster, pytest.raises(ValueError) as info:
+        watermark.embed_image(_IMG[:8, :8], raster)
+    assert str(info.value) == message

@@ -76,7 +76,8 @@ def test_image_residue_digits_exhaustive():
 def test_image_embed_arithmetic_exhaustive():
     # every (pixel, transformed cell entry) pair against the tables; the
     # entry may be any value up to 252 that is congruent to T(w) mod 3, as
-    # the transform's sums are
+    # the transform's sums (0..12) are, so all 256 x 13 pairs the image
+    # routes meet are among them
     x, t = (a.astype(np.uint8) for a in np.meshgrid(np.arange(256), np.arange(253), indexing="ij"))
     out = np.empty_like(x)
     watermark._embed_into(out, x, t)
